@@ -1,6 +1,6 @@
 """Exact computation of stringy invariants of rank-bounded matrix varieties."""
 
-from .exactalg import DescSeries, LaurentPoly, RationalFn
+from .exactalg import LaurentPoly, RationalFn
 from .groth import (
     Composition,
     PartitionTail,

@@ -139,7 +139,8 @@ def suite_identities(rmax: int) -> list:
 
 def suite_orbits(rmax: int) -> list:
     checks = []
-    pairs = [(r, k) for r in range(2, min(rmax, 4) + 1) for k in range(1, r)]
+    rmax = _clamp("orbits", rmax, 4)
+    pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
     for r, k in pairs:
         closed = stringy.stringy_e_affine(r, k)
         cap = 0
@@ -162,7 +163,7 @@ def suite_orbits(rmax: int) -> list:
 
 def suite_zeta(rmax: int, order: int) -> list:
     checks = []
-    for r in range(1, min(rmax, 3) + 1):
+    for r in range(1, _clamp("zeta", rmax, 3) + 1):
         series = stringy.zeta_closed_expansion(r, order)
         ok = all(series.coefficient(n) == stringy.zeta_coefficient_direct(r, n)
                  for n in range(order + 1))
@@ -172,10 +173,18 @@ def suite_zeta(rmax: int, order: int) -> list:
 
 def suite_oracle(p: int, rmax: int, budget: int) -> list:
     try:
-        report = oracle.verify_classes(p, rmax, budget)
+        report = oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget)
     except oracle.MismatchFound as exc:
         return [("oracle_certification", False, str(exc))]
     return [(name, ok, details) for name, ok, details in report.checks]
+
+
+def _clamp(suite: str, rmax: int, cap: int) -> int:
+    """The rmax a suite runs with; says so on stderr when it is lowered."""
+    if rmax > cap:
+        print(f"note: the {suite} suite runs up to r = {cap}, not --rmax {rmax}",
+              file=sys.stderr)
+    return min(rmax, cap)
 
 
 def _print_checks(checks: list) -> bool:
@@ -294,6 +303,8 @@ def main(argv=None) -> int:
             return EXIT_OK if all(ok for _, ok, _ in record.checks) else EXIT_FAIL
 
         if args.command == "verify":
+            if args.suite in ("oracle", "all"):
+                oracle.PrimeField(args.p)
             checks = []
             if args.suite in ("identities", "all"):
                 checks += suite_identities(args.rmax)
@@ -302,7 +313,7 @@ def main(argv=None) -> int:
             if args.suite in ("zeta", "all"):
                 checks += suite_zeta(args.rmax, args.order)
             if args.suite in ("oracle", "all"):
-                checks += suite_oracle(args.p, min(args.rmax, 4), args.budget)
+                checks += suite_oracle(args.p, args.rmax, args.budget)
             return EXIT_OK if _print_checks(checks) else EXIT_FAIL
 
         if args.command == "table":
@@ -324,6 +335,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "oracle":
+            oracle.PrimeField(args.p)
             candidates = sum((args.p) ** (r * s)
                              for r in range(1, args.rmax + 1)
                              for s in range(r, args.rmax + 1))
@@ -332,7 +344,7 @@ def main(argv=None) -> int:
             ok = _print_checks([(n, o, d) for n, o, d in report.checks])
             return EXIT_OK if ok else EXIT_FAIL
 
-    except InvalidInput as exc:
+    except (InvalidInput, oracle.UnsupportedPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

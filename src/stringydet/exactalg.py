@@ -1,15 +1,13 @@
 """Exact arithmetic kernel.
 
 Sparse Laurent polynomials in one variable ``q`` with arbitrary-precision
-rational coefficients, gcd-reduced rational functions, and truncated
-descending series expansions at ``q = infinity``.
+rational coefficients, and gcd-reduced rational functions.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -23,10 +21,6 @@ class DivisionByZero(ZeroDivisionError):
 
 class NotPolynomial(ArithmeticError):
     """A rational function expected to be a polynomial is not one."""
-
-
-class NotExpandable(ArithmeticError):
-    """A descending series expansion at q = infinity does not exist."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -50,7 +44,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                if not isinstance(exp, int):
+                if not isinstance(exp, int) or isinstance(exp, bool):
                     raise TypeError("exponents must be integers")
                 c = _as_fraction(coeff)
                 if c != 0:
@@ -110,9 +104,6 @@ class LaurentPoly:
     def is_polynomial(self) -> bool:
         """True if no negative exponent occurs."""
         return self.is_zero() or self.order() >= 0
-
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
 
     # -- ring operations ----------------------------------------------
 
@@ -215,6 +206,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant hashes as its coefficient, since it compares equal to it
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
@@ -290,10 +284,16 @@ def _divmod_dense(num: list, den: list):
 
 
 def _gcd_dense(a: list, b: list) -> list:
-    """Monic gcd by the Euclidean algorithm over Q."""
+    """Monic gcd by the Euclidean algorithm over Q.
+
+    Each remainder is made monic before the next division step, so the
+    coefficients do not grow from one step to the next.
+    """
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         _, r = _divmod_dense(a, b)
+        if r:
+            r = [c / r[-1] for c in r]
         a, b = b, r
     if a:
         lead = a[-1]
@@ -406,6 +406,9 @@ class RationalFn:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        # a polynomial value hashes as its numerator, since it compares equal to it
+        if self._den == LaurentPoly.one():
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __repr__(self):
@@ -422,53 +425,11 @@ class RationalFn:
         """The Laurent polynomial equal to this value, or NotPolynomial."""
         return self._num.divide_exact(self._den)
 
-    def series_desc(self, cutoff: int) -> "DescSeries":
-        """Expansion in descending powers of q, truncated below ``cutoff``.
-
-        Every reduced rational function expands at q = infinity, by long
-        division in descending exponent order.
-        """
-        if self.is_zero():
-            return DescSeries(cutoff, LaurentPoly.zero())
-        num = self._num
-        den = self._den
-        dd = den.degree()
-        lead = den.leading_coeff()
-        out = {}
-        rem = num
-        while not rem.is_zero():
-            e = rem.degree() - dd
-            if e < cutoff:
-                break
-            t = rem.leading_coeff() / lead
-            out[e] = t
-            rem = rem - den.shift(e).scale(t)
-        return DescSeries(cutoff, _raw(out))
-
 
 def _coerce_rf(x) -> RationalFn:
     if isinstance(x, RationalFn):
         return x
     return RationalFn(_coerce(x))
-
-
-@dataclass(frozen=True)
-class DescSeries:
-    """A descending power series in q truncated below exponent ``cutoff``."""
-
-    cutoff: int
-    terms: LaurentPoly
-
-    def __post_init__(self):
-        if not self.terms.is_zero() and self.terms.order() < self.cutoff:
-            raise ValueError("series terms below the cutoff")
-
-    def truncate(self, cutoff: int) -> "DescSeries":
-        """Drop terms below a higher cutoff."""
-        if cutoff < self.cutoff:
-            raise ValueError("cannot extend a truncated series")
-        kept = {e: c for e, c in self.terms.terms.items() if e >= cutoff}
-        return DescSeries(cutoff, LaurentPoly(kept))
 
 
 # shared constants

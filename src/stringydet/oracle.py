@@ -24,6 +24,10 @@ class MismatchFound(AssertionError):
     """A class polynomial disagreed with an exhaustive count."""
 
 
+class UnsupportedPrime(ValueError):
+    """The field size is not a prime, or is above the enumeration cap."""
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field with p elements, p a small prime."""
@@ -34,9 +38,9 @@ class PrimeField:
     def __post_init__(self):
         p = self.p
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise UnsupportedPrime(f"{p} is not prime")
         if p > self.cap:
-            raise ValueError(f"prime {p} above the cap {self.cap}")
+            raise UnsupportedPrime(f"prime {p} above the cap {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,9 @@ def count_subspaces(p: int, d: int, n: int, budget: int = DEFAULT_BUDGET) -> int
         return 0
     bases = rank_census(p, d, n, budget).counts[d]
     changes = count_invertible(p, d, budget)
-    assert bases % changes == 0
+    if bases % changes:
+        raise MismatchFound(f"{bases} ordered bases of {d}-subspaces of F_{p}^{n} "
+                            f"are not a multiple of {changes} base changes")
     return bases // changes
 
 

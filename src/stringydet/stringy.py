@@ -7,20 +7,24 @@ admits several independent routes to its stringy E-function:
 * an orbit subset-sum assembled from geometric series of orbit measures;
 * a recursion on the normalized subset sum;
 * for k = 1, direct resolution data from a single blowup;
-* truncated orbit sums whose coefficients stabilize to the closed form.
+* truncated orbit sums whose coefficients stabilize to the closed form
+  above a tail-degree bound, which is a closed integer formula.
 
-All routes are computed exactly and compared coefficient by coefficient.
-The motivic zeta function of the determinant hypersurface (k = r - 1) is
-also provided, in two forms that are checked against each other.
+The sum over the 2^{k-1} index subsets of the orbit route is computed as a
+sum over chains of surviving indices, with O(k^2) steps, over a common
+denominator; the polynomial is extracted by exact division. All routes are
+computed exactly and compared coefficient by coefficient. The motivic zeta
+function of the determinant hypersurface (k = r - 1) is also provided, in
+two forms that are checked against each other: the same chain sum expanded
+in T, and direct sums over partitions.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, RationalFn, ONE, q_pow
+from .exactalg import LaurentPoly, ONE, ZERO, q_pow
 from .groth import (
     PartitionTail,
     class_flag_quotient,
@@ -132,64 +136,55 @@ def relative_canonical_coeffs(r: int, k: int):
     return [(k - i) * (r - i) - 1 for i in range(k)]
 
 
-# -- subset sums ------------------------------------------------------------
+# -- chain sums ---------------------------------------------------------------
 
-def _index_subsets(r: int, k: int):
-    """Subsets I of {r-k+1, ..., r-1} in bitmask order, as frozensets."""
-    middle = list(range(r - k + 1, r))
-    for mask in range(1 << len(middle)):
-        yield frozenset(m for b, m in enumerate(middle) if mask >> b & 1)
-
-
-def _subset_class(r: int, k: int, excluded: frozenset) -> LaurentPoly:
-    """Class numerator of one subset term: prod over surviving indices i of
-
-    [GL_d] [G(d, i)]^2,   d = i - previous surviving index,
-
-    where the surviving indices are {r-k+1, ..., r} minus ``excluded`` and
-    the running difference starts at r - k.
-    """
-    survivors = sorted(set(range(r - k + 1, r + 1)) - excluded)
-    num = ONE
-    prev = r - k
-    for i in survivors:
-        d = i - prev
-        num = num * class_gl(d) * gauss_binomial(d, i) ** 2
-        prev = i
-    return num
+def _step_class(d: int, b: int) -> LaurentPoly:
+    """[GL_d][G(d, b)]^2, the class carried by a chain step b - d -> b."""
+    g = gauss_binomial(d, b)
+    return class_gl(d) * g * g
 
 
-def _orbit_subset_sum(r: int, k: int) -> RationalFn:
-    """Sum over all 2^{k-1} index subsets of
+def _orbit_chain_sum(r: int, k: int):
+    """Numerator and common denominator of the orbit subset sum.
+
+    The sum over subsets I of {r-k+1, ..., r-1} of
 
     prod_{i surviving} [GL_d][G(d, i)]^2 / (q^{i(i-r+k)} - 1),
 
-    assembled over the common denominator prod_i (q^{i(i-r+k)} - 1) so the
-    gcd reduction happens once.
+    d = i - previous surviving index (starting from r - k), is a sum over
+    the chains r-k = s_0 < ... < s_m = r of surviving indices. Over the
+    common denominator prod_i (q^{i(i-r+k)} - 1) a step a -> b carries
+    [GL_{b-a}][G(b-a, b)]^2 times the denominators of the skipped indices
+    a < i < b, so the numerator is a path sum over O(k^2) steps.
     """
-    denominators = {i: q_pow(i * (i - r + k)) - 1 for i in range(r - k + 1, r + 1)}
-    common_den = ONE
-    for d in denominators.values():
-        common_den = common_den * d
-    total = LaurentPoly.zero()
-    for excluded in _index_subsets(r, k):
-        term = _subset_class(r, k, excluded)
-        for i in sorted(excluded):
-            term = term * denominators[i]
-        total = total + term
-    return RationalFn(total, common_den)
+    start = r - k
+    dens = {i: q_pow(i * (i - start)) - 1 for i in range(start + 1, r + 1)}
+    paths = {start: ONE}
+    for b in range(start + 1, r + 1):
+        total, skipped = ZERO, ONE
+        for a in range(b - 1, start - 1, -1):
+            total = total + paths[a] * skipped * _step_class(b - a, b)
+            if a > start:
+                skipped = skipped * dens[a]
+        paths[b] = total
+    common = ONE
+    for den in dens.values():
+        common = common * den
+    return paths[r], common
 
 
 def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
     """The normalized orbit sum over index subsets; equals [G(k, r)].
 
     Sums prod_{i} [GL_d][G(d, i)]^2 / (q^{i(i-r+k)} - 1) over all 2^{k-1}
-    subsets of {r-k+1, ..., r-1} and extracts the exact polynomial.
+    subsets of {r-k+1, ..., r-1} as a chain sum and extracts the exact
+    polynomial by division over the common denominator.
     """
     _check_rk(r, k)
     if k == 0:
         return ONE
-    return _orbit_subset_sum(r, k).to_poly()
+    num, den = _orbit_chain_sum(r, k)
+    return num.divide_exact(den)
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +222,7 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
     for j in range(1, k + 1):
         bden = bden * (q_pow(j) - 1)
     total = total + boundary.divide_exact(bden)
-    return RationalFn(total, den).to_poly()
+    return total.divide_exact(den)
 
 
 # -- stringy E-functions ----------------------------------------------------
@@ -243,7 +238,8 @@ def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
     _check_rk(r, k)
     if k == 0:
         return ONE
-    return (RationalFn(q_pow(k * r)) * _orbit_subset_sum(r, k)).to_poly()
+    num, den = _orbit_chain_sum(r, k)
+    return num.shift(k * r).divide_exact(den)
 
 
 def stringy_e_projective(r: int, k: int) -> LaurentPoly:
@@ -261,9 +257,8 @@ def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
     1/(q-1) projective measure factor is applied at the end.
     """
     _check_rk(r, k, k_min=1)
-    scale = RationalFn(q_pow(k * r) - 1)
-    total = scale * _orbit_subset_sum(r, k)
-    return (total / RationalFn(q_pow(1) - 1)).to_poly()
+    num, den = _orbit_chain_sum(r, k)
+    return (num * (q_pow(k * r) - 1)).divide_exact(den * (q_pow(1) - 1))
 
 
 # -- Hodge and Euler numbers -------------------------------------------------
@@ -290,17 +285,21 @@ def stringy_euler(p: LaurentPoly) -> Fraction:
 def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
     """Assemble sum_I E(stratum_I) prod_{i in I} (q - 1)/(q^{a_i} - 1).
 
-    Raises NotPolynomial when the result genuinely is not a polynomial;
-    for the varieties treated here it always is.
+    The sum is taken over the common denominator prod_i (q^{a_i} - 1) and
+    extracted by exact division, which raises NotPolynomial when the result
+    genuinely is not a polynomial; for the varieties treated here it always is.
     """
-    total = RationalFn(LaurentPoly.zero())
+    dens = [q_pow(a) - 1 for a in data.discrepancies]
+    total = ZERO
     for e_poly, idx in data.strata:
-        term = RationalFn(e_poly)
-        for i in sorted(idx):
-            a = data.discrepancies[i]
-            term = term * RationalFn(q_pow(1) - 1, q_pow(a) - 1)
+        term = e_poly
+        for i, den in enumerate(dens):
+            term = term * (q_pow(1) - 1 if i in idx else den)
         total = total + term
-    return total.to_poly()
+    common = ONE
+    for den in dens:
+        common = common * den
+    return total.divide_exact(common)
 
 
 def rank_one_resolution_data(r: int) -> ResolutionData:
@@ -364,29 +363,13 @@ def orbit_tail_degree_bound(r: int, k: int, cap: int) -> int:
 
     Every omitted tail has first entry >= cap + 1 and all weight exponents
     (r - k - 2i + 1) are <= -(r - k + 1), so its term degree is at most the
-    maximal class degree over all block structures minus (r-k+1)(cap+1).
+    class degree minus (r-k+1)(cap+1). For every block structure
+    r-k = c_0 < ... < c_l = r with blocks b_j = c_j - c_{j-1}, the class
+    [flag quotient]^2 prod_j [GL_{b_j}] has degree
+    sum_j (2 b_j (c_j - b_j) + b_j^2) = sum_j (c_j^2 - c_{j-1}^2) = k(2r - k).
     """
     _check_rk(r, k, k_min=1)
-    max_class_deg = 0
-    # all run structures of a length-k tail = compositions of k
-    for cuts in itertools.product((0, 1), repeat=k - 1):
-        blocks = []
-        run = 1
-        for cut in cuts:
-            if cut:
-                blocks.append(run)
-                run = 1
-            else:
-                run += 1
-        blocks.append(run)
-        cumulative = [r - k]
-        for b in blocks:
-            cumulative.append(cumulative[-1] + b)
-        cls = class_flag_quotient(r, cumulative) ** 2
-        for b in blocks:
-            cls = cls * class_gl(b)
-        max_class_deg = max(max_class_deg, cls.degree())
-    return max_class_deg - (r - k + 1) * (cap + 1)
+    return k * (2 * r - k) - (r - k + 1) * (cap + 1)
 
 
 # -- motivic zeta function of the determinant ---------------------------------
@@ -425,35 +408,29 @@ def zeta_coefficient_direct(r: int, n: int) -> LaurentPoly:
 def zeta_closed_expansion(r: int, order: int) -> ZetaSeries:
     """Expand the closed subset-sum form of the zeta function to T^order.
 
-    Z(T) = q^{r^2} T^{-r} sum_{I subset {1,...,r-1}} prod_{i in I_r^c}
-    [GL_d][G(d,i)]^2 / (q^{i^2} T^{-i} - 1), offset 0 in the differences d.
-    Each factor expands as sum_{j>=1} q^{-i^2 j} T^{i j}.
+    Z(T) = q^{r^2} T^{-r} sum over chains 0 = s_0 < ... < s_m = r of
+    prod over steps a -> b of [GL_d][G(d, b)]^2 / (q^{b^2} T^{-b} - 1),
+    d = b - a: the chain sum of the orbit routes with offset 0. Each factor
+    expands as sum_{j>=1} q^{-b^2 j} T^{b j}; partial paths carry their
+    T-degree, truncated at order + r.
     """
     if r < 1 or order < 0:
         raise InvalidInput("need r >= 1 and order >= 0")
-    coeffs = {n: LaurentPoly.zero() for n in range(order + 1)}
-    middle = list(range(1, r))
-    for mask in range(1 << len(middle)):
-        excluded = frozenset(m for b, m in enumerate(middle) if mask >> b & 1)
-        survivors = sorted(set(range(1, r + 1)) - excluded)
-        cls = ONE
-        prev = 0
-        for i in survivors:
-            d = i - prev
-            cls = cls * class_gl(d) * gauss_binomial(d, i) ** 2
-            prev = i
-        # distribute T-degree n + r over the factors: sum i_m * j_m, j_m >= 1
-        def spread(pos: int, remaining: int, q_exp: int, n: int):
-            if pos == len(survivors):
-                if remaining == 0:
-                    coeffs[n] = coeffs[n] + cls * q_pow(r * r + q_exp)
-                return
-            i = survivors[pos]
-            j = 1
-            while i * j <= remaining:
-                spread(pos + 1, remaining - i * j, q_exp - i * i * j, n)
-                j += 1
-
-        for n in range(order + 1):
-            spread(0, n + r, 0, n)
+    top = order + r
+    paths = {0: {0: ONE}}
+    for b in range(1, r + 1):
+        reached = {}
+        for a in range(b):
+            step = _step_class(b - a, b)
+            for t, c in paths[a].items():
+                reached[t] = reached.get(t, ZERO) + c * step
+        # a path short of r still needs a last step of T-degree >= r
+        limit = top if b == r else order
+        arrived = {}
+        for t, c in reached.items():
+            for j in range(1, (limit - t) // b + 1):
+                t_new = t + b * j
+                arrived[t_new] = arrived.get(t_new, ZERO) + c.shift(-b * b * j)
+        paths[b] = arrived
+    coeffs = {n: paths[r].get(n + r, ZERO).shift(r * r) for n in range(order + 1)}
     return ZetaSeries(r=r, coefficients=coeffs, truncation_order=order)

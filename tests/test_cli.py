@@ -76,8 +76,23 @@ class TestVerify:
         assert code == EXIT_OK
 
     def test_orbits_suite(self, capsys):
-        code, out, _ = run(["verify", "--suite", "orbits", "--rmax", "3"], capsys)
+        code, out, err = run(["verify", "--suite", "orbits", "--rmax", "3"], capsys)
         assert code == EXIT_OK
+        assert err == ""
+
+    def test_clamped_rmax_is_noted(self, capsys):
+        code, out, err = run(["verify", "--suite", "zeta", "--rmax", "5",
+                              "--order", "1"], capsys)
+        assert code == EXIT_OK
+        assert err.splitlines() == [
+            "note: the zeta suite runs up to r = 3, not --rmax 5"]
+        assert [line.split()[0] for line in out.splitlines()] == ["pass"] * 3
+
+    def test_bad_prime_is_a_usage_error(self, capsys):
+        code, out, err = run(["verify", "--suite", "oracle", "--p", "11"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == ["error: prime 11 above the cap 7"]
 
 
 class TestTable:
@@ -124,6 +139,12 @@ class TestZetaAndOracle:
         code, out, _ = run(["oracle", "--p", "3", "--rmax", "2"], capsys)
         assert code == EXIT_OK
         assert out.startswith("estimated candidates:")
+
+    def test_non_prime_is_a_usage_error(self, capsys):
+        code, out, err = run(["oracle", "--p", "4", "--rmax", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == ["error: 4 is not prime"]
 
     def test_budget_exit(self, capsys):
         code, _, err = run(["oracle", "--p", "2", "--rmax", "6",

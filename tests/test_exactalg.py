@@ -1,4 +1,4 @@
-"""Kernel tests: Laurent polynomials, rational functions, descending series."""
+"""Kernel tests: Laurent polynomials and rational functions."""
 import random
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stringydet.exactalg import (
-    DescSeries,
     DivisionByZero,
     EvalAtZeroWithNegativeExponent,
     LaurentPoly,
@@ -64,6 +63,10 @@ class TestArithmetic:
 
     def test_power(self):
         assert (Q + 1) ** 3 == LaurentPoly({0: 1, 1: 3, 2: 3, 3: 1})
+
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({True: 1})
 
 
 class TestEvaluation:
@@ -130,43 +133,6 @@ class TestRationalFn:
         assert again == f
 
 
-class TestSeries:
-    def test_geometric_series_in_q_inverse(self):
-        f = RationalFn(ONE, ONE - q_pow(-2))
-        s = f.series_desc(-5)
-        assert s.terms == ONE + q_pow(-2) + q_pow(-4)
-
-    def test_polynomial_is_its_own_expansion(self):
-        p = q_pow(3) - 2 * Q + 1
-        s = RationalFn(p).series_desc(0)
-        assert s.terms == p
-
-    def test_orbit_tail_agreement(self):
-        # closed geometric sum of (1+q)^2 (q-1) q^{-2m} against its partial
-        # sums up to m = N: they agree above exponent 3 - 2N.
-        f = RationalFn((ONE + Q) ** 2 * (Q - 1), ONE - q_pow(-2))
-        for n_cap in (2, 4, 7):
-            partial = LaurentPoly.zero()
-            term = (ONE + Q) ** 2 * (Q - 1)
-            for m in range(n_cap + 1):
-                partial = partial + term * q_pow(-2 * m)
-            cutoff = 3 - 2 * n_cap + 1
-            expansion = f.series_desc(cutoff).terms
-            clipped = LaurentPoly({e: c for e, c in partial.terms.items()
-                                   if e >= cutoff})
-            assert expansion == clipped
-
-    def test_truncation_consistency(self):
-        f = RationalFn(q_pow(5) + Q, q_pow(2) - 3)
-        low = f.series_desc(-12)
-        for cutoff in (-8, -3, 0):
-            assert low.truncate(cutoff) == f.series_desc(cutoff)
-
-    def test_series_below_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            DescSeries(0, q_pow(-1))
-
-
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 laurent = st.dictionaries(st.integers(-6, 8), small_fraction, max_size=6).map(LaurentPoly)
 nonzero_laurent = laurent.filter(lambda p: not p.is_zero())
@@ -197,6 +163,55 @@ def test_gcd_divides_both(a, b):
     g = laurent_gcd(a, b)
     a.divide_exact(g)
     b.divide_exact(g)
+
+
+def _cyclotomic_product(exponents) -> LaurentPoly:
+    out = ONE
+    for a in exponents:
+        out = out * (q_pow(a) - 1)
+    return out
+
+
+def test_gcd_degree_128_dense_times_cyclotomic():
+    # a dense integer polynomial times factors q^a - 1, against another such
+    # product: the shape whose remainders grew without bound before they
+    # were made monic
+    dense = LaurentPoly({i: (-1) ** i * (7919 * i % 1048573 + 1) for i in range(65)})
+    left = dense * _cyclotomic_product([1, 2, 3, 5, 7, 9, 11, 12, 14])
+    right = _cyclotomic_product([2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 15, 16, 16, 5])
+    assert left.degree() == right.degree() == 128
+    g = laurent_gcd(left, right)
+    assert g.leading_coeff() == 1
+    assert g.degree() >= 6
+    left_cofactor = left.divide_exact(g)
+    right_cofactor = right.divide_exact(g)
+    assert laurent_gcd(left_cofactor, right_cofactor) == ONE
+
+
+scalar = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                    max_denominator=2))
+small_laurent = st.dictionaries(st.integers(-1, 1), scalar, max_size=2).map(LaurentPoly)
+hashable_value = st.one_of(
+    scalar,
+    scalar.map(LaurentPoly.constant),
+    small_laurent,
+    small_laurent.map(RationalFn),
+    st.tuples(small_laurent, nonzero_laurent).map(lambda pd: RationalFn(pd[0] * pd[1], pd[1])),
+    st.tuples(small_laurent, st.sampled_from([Q - 1, Q + 1, 2 * Q])).map(
+        lambda pd: RationalFn(*pd)),
+)
+
+
+@given(hashable_value, hashable_value)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constants_share_a_set_slot():
+    three = LaurentPoly.constant(3)
+    assert len({three, 3, Fraction(3), RationalFn(three)}) == 1
+    assert len({LaurentPoly.zero(), 0, RationalFn(LaurentPoly.zero())}) == 1
 
 
 def test_immutability():

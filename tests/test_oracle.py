@@ -1,9 +1,11 @@
 """Tests for the finite-field brute-force oracle."""
 import pytest
 
+from stringydet import oracle
 from stringydet.groth import class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
+    MismatchFound,
     PrimeField,
     count_subspaces,
     rank_census,
@@ -82,6 +84,13 @@ class TestSubspaces:
 
     def test_lines_in_3_space_mod_3(self):
         assert count_subspaces(3, 1, 3) == 13 == (3 ** 3 - 1) // (3 - 1)
+
+    def test_indivisible_base_count_raises(self, monkeypatch):
+        # 210 ordered bases of planes in F_2^4 against a wrong count of 4
+        # base changes; the check must survive python -O
+        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
+        with pytest.raises(MismatchFound):
+            count_subspaces(2, 2, 4)
 
 
 class TestVerifyClasses:

@@ -1,12 +1,14 @@
 """Tests for the stringy E-function routes and the zeta series."""
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from stringydet.exactalg import LaurentPoly, NotPolynomial, q_pow
-from stringydet.groth import PartitionTail, class_gl, gauss_binomial
+from stringydet.groth import PartitionTail, class_flag_quotient, class_gl, gauss_binomial
 from stringydet.stringy import (
+    _orbit_chain_sum,
     HodgeTable,
     InvalidInput,
     NegativeExponent,
@@ -101,6 +103,43 @@ class TestGrassmannianRoutes:
         expected = LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
         assert grassmannian_subset_sum(4, 2) == expected
         assert grassmannian_recursive(4, 2) == expected
+
+
+def subset_sum_numerator(r, k):
+    """Brute-force oracle: the orbit sum over all 2^{k-1} index subsets I of
+    {r-k+1, ..., r-1}, over the common denominator prod_i (q^{i(i-r+k)} - 1).
+
+    A subset term is prod over surviving indices i of [GL_d][G(d, i)]^2,
+    d = i - previous surviving index (from r - k), times the denominators
+    of the excluded indices.
+    """
+    dens = {i: q_pow(i * (i - r + k)) - 1 for i in range(r - k + 1, r + 1)}
+    common = ONE
+    for den in dens.values():
+        common = common * den
+    total = LaurentPoly.zero()
+    middle = range(r - k + 1, r)
+    for size in range(len(middle) + 1):
+        for excluded in itertools.combinations(middle, size):
+            term = ONE
+            prev = r - k
+            for i in range(r - k + 1, r + 1):
+                if i in excluded:
+                    term = term * dens[i]
+                else:
+                    d = i - prev
+                    g = gauss_binomial(d, i)
+                    term = term * class_gl(d) * g * g
+                    prev = i
+            total = total + term
+    return total, common
+
+
+class TestChainSum:
+    def test_matches_subset_enumeration(self):
+        for r in range(2, 8):
+            for k in range(1, r):
+                assert _orbit_chain_sum(r, k) == subset_sum_numerator(r, k), (r, k)
 
 
 class TestProjective:
@@ -233,6 +272,24 @@ class TestOrbitSums:
             assert {e: c for e, c in partial.terms.items() if e > bound} \
                 == {e: c for e, c in target.terms.items() if e > bound}
 
+    def test_bound_matches_class_degrees(self):
+        # oracle: the largest degree of [flag quotient]^2 prod [GL_b] over all
+        # block structures (compositions of k), from the polynomials themselves
+        for r in range(2, 9):
+            for k in range(1, r):
+                max_class_deg = 0
+                for cuts in itertools.product((False, True), repeat=k - 1):
+                    cumulative = [r - k] + [r - k + j + 1 for j, cut in enumerate(cuts)
+                                            if cut] + [r]
+                    flag = class_flag_quotient(r, cumulative)
+                    cls = flag * flag
+                    for prev, cur in zip(cumulative, cumulative[1:]):
+                        cls = cls * class_gl(cur - prev)
+                    max_class_deg = max(max_class_deg, cls.degree())
+                for cap in range(6):
+                    assert orbit_tail_degree_bound(r, k, cap) \
+                        == max_class_deg - (r - k + 1) * (cap + 1), (r, k, cap)
+
     def test_bound_decreases_in_cap(self):
         bounds = [orbit_tail_degree_bound(3, 2, cap) for cap in range(6)]
         assert bounds == sorted(bounds, reverse=True)
@@ -254,7 +311,7 @@ class TestZeta:
         assert zeta_coefficient_direct(2, 1) == expected
 
     def test_routes_agree(self):
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4, 5):
             series = zeta_closed_expansion(r, 6)
             for n in range(7):
                 assert series.coefficient(n) == zeta_coefficient_direct(r, n)
