@@ -176,7 +176,7 @@ def suite_oracle(p: int, rmax: int, budget: int) -> list:
         report = oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget)
     except oracle.MismatchFound as exc:
         return [("oracle_certification", False, str(exc))]
-    return [(name, ok, details) for name, ok, details in report.checks]
+    return report.checks
 
 
 def _clamp(suite: str, rmax: int, cap: int) -> int:
@@ -336,13 +336,9 @@ def main(argv=None) -> int:
 
         if args.command == "oracle":
             oracle.PrimeField(args.p)
-            candidates = sum((args.p) ** (r * s)
-                             for r in range(1, args.rmax + 1)
-                             for s in range(r, args.rmax + 1))
-            print(f"estimated candidates: {candidates}")
+            print(f"estimated candidates: {oracle.census_candidates(args.p, args.rmax)}")
             report = oracle.verify_classes(args.p, args.rmax, args.budget)
-            ok = _print_checks([(n, o, d) for n, o, d in report.checks])
-            return EXIT_OK if ok else EXIT_FAIL
+            return EXIT_OK if _print_checks(report.checks) else EXIT_FAIL
 
     except (InvalidInput, oracle.UnsupportedPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)

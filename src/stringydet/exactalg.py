@@ -147,14 +147,14 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers are not Laurent polynomials in general")
-        result = LaurentPoly.one()
-        base = self
+        base, result = self, None
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPoly.one() if result is None else result
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by ``q**n``."""

@@ -1,6 +1,7 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
 import json
 
+from stringydet import groth, oracle
 from stringydet.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -11,6 +12,7 @@ from stringydet.cli import (
     main,
     table_rows,
 )
+from stringydet.exactalg import LaurentPoly
 
 
 def run(argv, capsys):
@@ -151,3 +153,24 @@ class TestZetaAndOracle:
                             "--budget", "1000"], capsys)
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    def test_budget_gates_the_whole_run(self, capsys):
+        # the censuses up to 4 x 4 fit 10^8 one by one; their sum with the
+        # larger ones is checked before any of them is enumerated
+        code, out, err = run(["oracle", "--p", "3", "--rmax", "5",
+                              "--budget", "100000000"], capsys)
+        assert code == EXIT_BUDGET
+        assert out == "estimated candidates: 850833407379\n"
+        assert err == "error: 850833407379 candidates exceed the budget 100000000\n"
+
+    def test_wrong_class_fails_and_lists_every_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "class_gl",
+                            lambda d: groth.class_gl(d) + LaurentPoly.one())
+        code, out, _ = run(["oracle", "--p", "2", "--rmax", "2"], capsys)
+        assert code == EXIT_FAIL
+        lines = out.splitlines()[1:]
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == ["FAIL  gl(1) at q=2  (class value 2 != count 1)",
+                          "FAIL  gl(2) at q=2  (class value 7 != count 6)"]
+        assert len(lines) > len(failed)
+        assert all(line.startswith("pass") for line in lines if line not in failed)

@@ -1,6 +1,7 @@
 """Kernel tests: Laurent polynomials and rational functions."""
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,21 @@ class TestArithmetic:
 
     def test_power(self):
         assert (Q + 1) ** 3 == LaurentPoly({0: 1, 1: 3, 2: 3, 3: 1})
+
+    def test_power_multiplication_count(self, monkeypatch):
+        # square only while bits remain: n = 1, 2, 5 cost 0, 1, 3 products
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        for n, products in ((0, 0), (1, 0), (2, 1), (5, 3)):
+            calls.clear()
+            assert ((Q + 1) ** n).terms == {k: comb(n, k) for k in range(n + 1)}
+            assert len(calls) == products, n
 
     def test_bool_exponent_rejected(self):
         with pytest.raises(TypeError):

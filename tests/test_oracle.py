@@ -1,17 +1,46 @@
 """Tests for the finite-field brute-force oracle."""
+import itertools
+from collections import Counter
+
 import pytest
 
-from stringydet import oracle
+from stringydet import groth, oracle
+from stringydet.exactalg import LaurentPoly
 from stringydet.groth import class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
     MismatchFound,
     PrimeField,
+    census_candidates,
     count_subspaces,
     rank_census,
-    rank_of_matrix,
     verify_classes,
 )
+
+
+def rank_of_matrix(p: int, entries) -> int:
+    """Rank over F_p by Gaussian elimination on a copy of the rows."""
+    rows = [[x % p for x in row] for row in entries]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 class TestPrimeField:
@@ -74,6 +103,21 @@ class TestCensus:
         with pytest.raises(BudgetExceeded):
             rank_census(2, 5, 6)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_elimination(self, p):
+        # every r x s with r, s <= 4 and p^(rs) <= 20000, against one
+        # Gaussian elimination per matrix
+        for r, s in itertools.product(range(5), repeat=2):
+            if p ** (r * s) > 20000:
+                continue
+            reference = Counter(
+                rank_of_matrix(p, [flat[i * s:(i + 1) * s] for i in range(r)])
+                for flat in itertools.product(range(p), repeat=r * s))
+            counts = rank_census(p, r, s).counts
+            assert list(counts) == list(range(min(r, s) + 1)), (r, s)
+            assert counts == {j: reference[j] for j in counts}, (r, s)
+            assert sum(counts.values()) == p ** (r * s), (r, s)
+
 
 class TestSubspaces:
     def test_2_of_4_mod_2(self):
@@ -94,11 +138,31 @@ class TestSubspaces:
 
 
 class TestVerifyClasses:
-    @pytest.mark.parametrize("p,r_max", [(2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("p,r_max", [(2, 3), (3, 3), (2, 4), (5, 3)])
     def test_all_pass(self, p, r_max):
         report = verify_classes(p, r_max)
         assert report.passed
         assert report.checks
+
+    def test_every_disagreement_is_recorded(self, monkeypatch):
+        names = [name for name, _, _ in verify_classes(2, 3).checks]
+        monkeypatch.setattr(oracle, "class_gl",
+                            lambda d: groth.class_gl(d) + LaurentPoly.one())
+        report = verify_classes(2, 3)
+        assert not report.passed
+        assert [name for name, _, _ in report.checks] == names
+        failed = [(name, details) for name, ok, details in report.checks if not ok]
+        assert [name for name, _ in failed] == [f"gl({d}) at q=2" for d in (1, 2, 3)]
+        assert failed[0][1] == "class value 2 != count 1"
+
+    def test_budget_covers_every_census(self):
+        # each census fits the budget alone, all of them together do not
+        total = census_candidates(2, 3)
+        assert total == 2 + 4 + 8 + 16 + 64 + 512
+        assert max(2 ** (r * s) for r in range(1, 4) for s in range(r, 4)) < total - 1
+        with pytest.raises(BudgetExceeded, match=str(total)):
+            verify_classes(2, 3, budget=total - 1)
+        assert verify_classes(2, 3, budget=total).passed
 
     def test_point_identity_escalation(self):
         # a degree-D univariate identity checked at D+1 points is exact:
