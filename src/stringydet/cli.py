@@ -1,7 +1,7 @@
 """Command-line front end: compute invariants, verify identities, emit tables.
 
-Exit statuses: 0 success, 1 verification failure, 2 usage error,
-3 enumeration budget exceeded.
+Exit statuses: 0 success, 1 verification failure, 2 usage error (a bad
+argument, or a grid that holds no check), 3 enumeration budget exceeded.
 """
 from __future__ import annotations
 
@@ -314,6 +314,8 @@ def main(argv=None) -> int:
                 checks += suite_zeta(args.rmax, args.order)
             if args.suite in ("oracle", "all"):
                 checks += suite_oracle(args.p, args.rmax, args.budget)
+            if not checks:
+                raise InvalidInput(f"no check to run: --suite {args.suite} --rmax {args.rmax}")
             return EXIT_OK if _print_checks(checks) else EXIT_FAIL
 
         if args.command == "table":
@@ -336,6 +338,8 @@ def main(argv=None) -> int:
 
         if args.command == "oracle":
             oracle.PrimeField(args.p)
+            if args.rmax < 1:
+                raise InvalidInput(f"no check to run: --rmax {args.rmax}")
             print(f"estimated candidates: {oracle.census_candidates(args.p, args.rmax)}")
             report = oracle.verify_classes(args.p, args.rmax, args.budget)
             return EXIT_OK if _print_checks(report.checks) else EXIT_FAIL

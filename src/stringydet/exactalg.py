@@ -65,9 +65,9 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, n: int, coeff=1) -> "LaurentPoly":
-        """The monomial ``coeff * q**n``."""
-        return cls({n: coeff})
+    def q_power(cls, n: int) -> "LaurentPoly":
+        """The monomial ``q**n``."""
+        return cls({n: 1})
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
@@ -79,9 +79,6 @@ class LaurentPoly:
     def terms(self) -> dict:
         """A copy of the exponent -> coefficient map."""
         return dict(self._terms)
-
-    def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms

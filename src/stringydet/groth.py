@@ -87,41 +87,32 @@ def partition_tails(r: int, k: int, cap: int, last_zero: bool = False):
             yield PartitionTail(tuple(reversed(rest)) + (last,), r, k)
 
 
+def q_factor_product(exponents) -> LaurentPoly:
+    """The product of q^a - 1 over the exponents a, in order; 1 for none."""
+    result = ONE
+    for a in exponents:
+        result = result * (q_pow(a) - 1)
+    return result
+
+
 @lru_cache(maxsize=None)
 def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
     if d < 0:
         raise InvalidDimension("d must be nonnegative")
-    result = q_pow(d * (d - 1) // 2)
-    for j in range(1, d + 1):
-        result = result * (q_pow(j) - 1)
-    return result
+    return q_pow(d * (d - 1) // 2) * q_factor_product(range(1, d + 1))
 
 
 @lru_cache(maxsize=None)
-def gauss_binomial(d: int, k: int, method: str = "product") -> LaurentPoly:
+def gauss_binomial(d: int, k: int) -> LaurentPoly:
     """The Gaussian binomial: class of d-dimensional subspaces of k-space.
 
-    ``product`` evaluates prod_{j=1}^{d} (q^{j+k-d} - 1)/(q^j - 1) by exact
-    division; ``partition_sum`` sums q^{|lambda|} over weakly increasing
-    sequences 0 <= l_1 <= ... <= l_d <= k - d. Both agree.
+    Evaluates prod_{j=1}^{d} (q^{j+k-d} - 1)/(q^j - 1) by exact division.
     """
     if d < 0 or k < 0 or d > k:
         raise InvalidDimension(f"need 0 <= d <= k, got d={d}, k={k}")
-    if method == "product":
-        num = ONE
-        den = ONE
-        for j in range(1, d + 1):
-            num = num * (q_pow(j + k - d) - 1)
-            den = den * (q_pow(j) - 1)
-        return num.divide_exact(den)
-    if method == "partition_sum":
-        terms = {}
-        for lam in itertools.combinations_with_replacement(range(k - d + 1), d):
-            e = sum(lam)
-            terms[e] = terms.get(e, 0) + 1
-        return LaurentPoly(terms)
-    raise ValueError(f"unknown method {method!r}")
+    num = q_factor_product(range(k - d + 1, k + 1))
+    return num.divide_exact(q_factor_product(range(1, d + 1)))
 
 
 @lru_cache(maxsize=None)

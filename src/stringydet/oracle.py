@@ -12,10 +12,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add
+from types import MappingProxyType
 
-from .groth import class_gl, class_independent_tuples, gauss_binomial, rank_stratum_class
+from .groth import (InvalidRank, class_gl, class_independent_tuples, gauss_binomial,
+                    rank_stratum_class)
 
 DEFAULT_BUDGET = 2 * 10 ** 8
+PRIME_CAP = 7
 
 
 class BudgetExceeded(ValueError):
@@ -35,24 +38,23 @@ class PrimeField:
     """The field with p elements, p a small prime."""
 
     p: int
-    cap: int = 7
 
     def __post_init__(self):
         p = self.p
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise UnsupportedPrime(f"{p} is not prime")
-        if p > self.cap:
-            raise UnsupportedPrime(f"prime {p} above the cap {self.cap}")
+        if p > PRIME_CAP:
+            raise UnsupportedPrime(f"prime {p} above the cap {PRIME_CAP}")
 
 
 @dataclass(frozen=True)
 class RankCensus:
-    """Counts of r x s matrices over F_p bucketed by exact rank."""
+    """Counts of r x s matrices over F_p bucketed by exact rank, read-only."""
 
     p: int
     r: int
     s: int
-    counts: dict
+    counts: MappingProxyType
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -81,14 +83,16 @@ _census_cache: dict = {}
 
 
 def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCensus:
-    """Exhaustive rank histogram of all p^{rs} matrices."""
+    """Exhaustive rank histogram of all p^{rs} matrices, shared by every caller."""
     PrimeField(p)
+    if r < 0 or s < 0:
+        raise InvalidRank(f"need r >= 0 and s >= 0, got r={r}, s={s}")
     _check_budget(p ** (r * s), budget)
     cached = _census_cache.get((p, r, s))
     if cached is not None:
         return cached
     tally = _tally_ranks(p, r, s)
-    counts = {j: tally[j] for j in range(min(r, s) + 1)}
+    counts = MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)})
     census = RankCensus(p=p, r=r, s=s, counts=counts)
     _census_cache[(p, r, s)] = census
     return census
@@ -200,7 +204,7 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
                   count_subspaces(p, d, k, budget))
             check(f"independent_tuples({d},{k}) at q={p}",
                   class_independent_tuples(d, k).evaluate(p),
-                  _count_independent(p, d, k, budget))
+                  censuses[(d, k)].counts[d] if d else 1)
 
     for r in range(1, r_max + 1):
         for s in range(r, r_max + 1):
@@ -224,9 +228,3 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
 
     return report
 
-
-def _count_independent(p: int, d: int, k: int, budget: int) -> int:
-    """Count d-tuples of independent vectors in F_p^k, exhaustively."""
-    if d == 0:
-        return 1
-    return rank_census(p, d, k, budget).counts[d]

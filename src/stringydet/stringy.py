@@ -33,6 +33,7 @@ from .groth import (
     composition_of_partition,
     gauss_binomial,
     partition_tails,
+    q_factor_product,
 )
 
 
@@ -158,19 +159,18 @@ def _orbit_chain_sum(r: int, k: int):
     a < i < b, so the numerator is a path sum over O(k^2) steps.
     """
     start = r - k
-    dens = {i: q_pow(i * (i - start)) - 1 for i in range(start + 1, r + 1)}
+
+    def dens(lo: int, hi: int) -> LaurentPoly:
+        # the denominators of the indices lo < i < hi
+        return q_factor_product(i * (i - start) for i in range(lo + 1, hi))
+
     paths = {start: ONE}
     for b in range(start + 1, r + 1):
-        total, skipped = ZERO, ONE
-        for a in range(b - 1, start - 1, -1):
-            total = total + paths[a] * skipped * _step_class(b - a, b)
-            if a > start:
-                skipped = skipped * dens[a]
+        total = ZERO
+        for a in range(start, b):
+            total = total + paths[a] * dens(a, b) * _step_class(b - a, b)
         paths[b] = total
-    common = ONE
-    for den in dens.values():
-        common = common * den
-    return paths[r], common
+    return paths[r], dens(start, r + 1)
 
 
 def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
@@ -192,37 +192,24 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
     """The same value by the recursion in the rank bound; equals [G(k, r)].
 
     Splits off the second-largest surviving index m and reduces to the
-    (k + m - r, m) case, with an explicit boundary term, dividing everything
-    by q^{kr} - 1.
+    (k + m - r, m) case, dividing everything by q^{kr} - 1. The term
+    m = r - k, where no index survives below r, is the boundary term:
+    its reduced case (0, r - k) is 1.
     """
     _check_rk(r, k)
     if k == 0:
         return ONE
-    if k == 1:
-        return (q_pow(r) - 1).divide_exact(q_pow(1) - 1)
-    den = q_pow(k * r) - 1
 
     def tail_factor(m: int) -> LaurentPoly:
         # (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
-        num = q_pow((r - m) * (r - m - 1) // 2)
-        for j in range(m + 1, r + 1):
-            num = num * (q_pow(j) - 1) ** 2
-        d = ONE
-        for j in range(1, r - m + 1):
-            d = d * (q_pow(j) - 1)
-        return num.divide_exact(d)
+        num = q_factor_product(range(m + 1, r + 1))
+        num = (num * num).shift((r - m) * (r - m - 1) // 2)
+        return num.divide_exact(q_factor_product(range(1, r - m + 1)))
 
-    total = LaurentPoly.zero()
-    for m in range(r - k + 1, r):
+    total = ZERO
+    for m in range(r - k, r):
         total = total + grassmannian_recursive(m, k + m - r) * tail_factor(m)
-    boundary = q_pow(k * (k - 1) // 2)
-    for j in range(r - k + 1, r + 1):
-        boundary = boundary * (q_pow(j) - 1) ** 2
-    bden = ONE
-    for j in range(1, k + 1):
-        bden = bden * (q_pow(j) - 1)
-    total = total + boundary.divide_exact(bden)
-    return total.divide_exact(den)
+    return total.divide_exact(q_pow(k * r) - 1)
 
 
 # -- stringy E-functions ----------------------------------------------------
@@ -289,17 +276,11 @@ def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
     extracted by exact division, which raises NotPolynomial when the result
     genuinely is not a polynomial; for the varieties treated here it always is.
     """
-    dens = [q_pow(a) - 1 for a in data.discrepancies]
     total = ZERO
     for e_poly, idx in data.strata:
-        term = e_poly
-        for i, den in enumerate(dens):
-            term = term * (q_pow(1) - 1 if i in idx else den)
-        total = total + term
-    common = ONE
-    for den in dens:
-        common = common * den
-    return total.divide_exact(common)
+        total = total + e_poly * q_factor_product(
+            1 if i in idx else a for i, a in enumerate(data.discrepancies))
+    return total.divide_exact(q_factor_product(data.discrepancies))
 
 
 def rank_one_resolution_data(r: int) -> ResolutionData:
@@ -374,21 +355,6 @@ def orbit_tail_degree_bound(r: int, k: int, cap: int) -> int:
 
 # -- motivic zeta function of the determinant ---------------------------------
 
-def _partitions_fixed_length(total: int, length: int, max_part=None):
-    """Weakly decreasing nonnegative integer tuples of given length and sum."""
-    if max_part is None:
-        max_part = total
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, max_part), -1, -1):
-        if first * length < total:
-            break
-        for rest in _partitions_fixed_length(total - first, length - 1, first):
-            yield (first,) + rest
-
-
 def zeta_coefficient_direct(r: int, n: int) -> LaurentPoly:
     """Coefficient of T^n by direct summation over full partitions of n.
 
@@ -398,10 +364,10 @@ def zeta_coefficient_direct(r: int, n: int) -> LaurentPoly:
     """
     if r < 1 or n < 0:
         raise InvalidInput("need r >= 1 and n >= 0")
-    total = LaurentPoly.zero()
-    for lam in _partitions_fixed_length(n, r):
-        tail = PartitionTail(lam, r, r)
-        total = total + orbit_measure(r, r, tail)
+    total = ZERO
+    for tail in partition_tails(r, r, n):
+        if tail.total() == n:
+            total = total + orbit_measure(r, r, tail)
     return total
 
 

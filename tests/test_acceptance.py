@@ -31,6 +31,8 @@ from stringydet.stringy import (
     zeta_coefficient_direct,
 )
 
+from test_groth import gauss_binomial_partition_sum
+
 ONE = LaurentPoly.one()
 Q = q_pow(1)
 
@@ -173,8 +175,7 @@ def test_criterion_10_kernel_properties():
     assert cases >= 10 ** 4
     for k in range(13):
         for d in range(k + 1):
-            assert gauss_binomial(d, k, "product") \
-                == gauss_binomial(d, k, "partition_sum")
+            assert gauss_binomial(d, k) == gauss_binomial_partition_sum(d, k)
             assert gauss_binomial(d, k) == gauss_binomial(k - d, k)
     _report(10, f"{cases} randomized kernel cases plus Gaussian binomial "
                 "dual-method agreement and symmetry for d <= k <= 12")

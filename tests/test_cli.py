@@ -1,6 +1,8 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
 import json
 
+import pytest
+
 from stringydet import groth, oracle
 from stringydet.cli import (
     EXIT_BUDGET,
@@ -95,6 +97,28 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.splitlines() == ["error: prime 11 above the cap 7"]
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize("argv,message", [
+        ("verify --suite identities --rmax 1", "--suite identities --rmax 1"),
+        ("verify --suite orbits --rmax 0", "--suite orbits --rmax 0"),
+        ("oracle --p 2 --rmax 0", "--rmax 0"),
+    ], ids=["identities", "orbits", "oracle"])
+    def test_no_check_is_a_usage_error(self, argv, message, capsys):
+        code, out, err = run(argv.split(), capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [f"error: no check to run: {message}"]
+
+    def test_all_at_rmax_1_runs_zeta_and_oracle(self, capsys):
+        code, out, err = run(["verify", "--suite", "all", "--rmax", "1"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        names = [line.split(None, 1)[1] for line in out.splitlines()]
+        assert names[0] == "zeta_consistency(r=1,order=4)"
+        assert "gl(1) at q=2  (1)" in names
+        assert all(line.startswith("pass") for line in out.splitlines())
 
 
 class TestTable:

@@ -6,7 +6,7 @@ import pytest
 
 from stringydet import groth, oracle
 from stringydet.exactalg import LaurentPoly
-from stringydet.groth import class_gl, gauss_binomial
+from stringydet.groth import InvalidRank, class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
     MismatchFound,
@@ -102,6 +102,21 @@ class TestCensus:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             rank_census(2, 5, 6)
+
+    def test_negative_dimension_rejected(self):
+        # a budget of 0 shows the shape is checked before the budget
+        for r, s in ((-1, 3), (2, -1), (-1, -1)):
+            with pytest.raises(InvalidRank, match=f"got r={r}, s={s}"):
+                rank_census(2, r, s, budget=0)
+        with pytest.raises(InvalidRank):
+            count_subspaces(2, -1, 3)
+
+    def test_counts_are_read_only(self):
+        # every caller shares the cached census, so no caller may alter it
+        with pytest.raises(TypeError):
+            rank_census(2, 2, 2).counts[2] = 999
+        assert rank_census(2, 2, 2).counts == {0: 1, 1: 9, 2: 6}
+        assert verify_classes(2, 2).passed
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_elimination(self, p):

@@ -34,6 +34,8 @@ from stringydet.stringy import (
     zeta_coefficient_direct,
 )
 
+from test_groth import gauss_binomial_partition_sum
+
 ONE = LaurentPoly.one()
 Q = q_pow(1)
 
@@ -79,7 +81,7 @@ class TestAffine:
 
     def test_closed_forms(self):
         assert stringy_e_affine(2, 1) == q_pow(2) * (ONE + Q)
-        assert stringy_e_affine(4, 2) == q_pow(8) * gauss_binomial(2, 4, "partition_sum")
+        assert stringy_e_affine(4, 2) == q_pow(8) * gauss_binomial_partition_sum(2, 4)
 
     def test_dimension_and_leading_term(self):
         for r in range(2, 7):
