@@ -16,7 +16,6 @@ from .groth import (
 from .stringy import (
     HodgeTable,
     ResolutionData,
-    StringyInput,
     ZetaSeries,
     grassmannian_recursive,
     grassmannian_subset_sum,
@@ -24,7 +23,6 @@ from .stringy import (
     log_discrepancies,
     orbit_measure,
     rank_one_resolution_check,
-    relative_canonical_coeffs,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
     stringy_e_from_resolution,

@@ -54,25 +54,6 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, n: int) -> "LaurentPoly":
-        """The monomial ``q**n``."""
-        return cls({n: 1})
-
-    @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -151,7 +132,7 @@ class LaurentPoly:
             n >>= 1
             if n:
                 base = base * base
-        return LaurentPoly.one() if result is None else result
+        return ONE if result is None else result
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by ``q**n``."""
@@ -160,7 +141,7 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         c = _as_fraction(c)
         if c == 0:
-            return LaurentPoly.zero()
+            return ZERO
         return _raw({e: c * v for e, v in self._terms.items()})
 
     # -- evaluation ----------------------------------------------------
@@ -186,7 +167,7 @@ class LaurentPoly:
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return ZERO
         quot, rem = _divmod_dense(_dense(self.shift(-self.order())),
                                   _dense(other.shift(-other.order())))
         if any(rem):
@@ -197,7 +178,7 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
+            other = _coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -226,6 +207,15 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
+ZERO = LaurentPoly()
+ONE = LaurentPoly({0: 1})
+
+
+def q_pow(n: int) -> LaurentPoly:
+    """The monomial q**n."""
+    return LaurentPoly({n: 1})
+
+
 def _raw(terms: dict) -> LaurentPoly:
     """Build without re-validating; callers guarantee nonzero Fractions."""
     p = LaurentPoly()
@@ -237,7 +227,7 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return LaurentPoly.constant(x)
+        return LaurentPoly({0: x})
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
 
 
@@ -305,7 +295,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     gcd(f, g) with f, g of order 0.
     """
     if a.is_zero() and b.is_zero():
-        return LaurentPoly.zero()
+        return ZERO
     if a.is_zero():
         return b.shift(-b.order()).scale(1 / b.leading_coeff())
     if b.is_zero():
@@ -324,17 +314,17 @@ class RationalFn:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num, den=LaurentPoly.one()):
+    def __init__(self, num, den=ONE):
         num = _coerce(num)
         den = _coerce(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if num.is_zero():
-            object.__setattr__(self, "_num", LaurentPoly.zero())
-            object.__setattr__(self, "_den", LaurentPoly.one())
+            object.__setattr__(self, "_num", ZERO)
+            object.__setattr__(self, "_den", ONE)
             return
         g = laurent_gcd(num, den)
-        if not g == LaurentPoly.one():
+        if not g == ONE:
             num = num.divide_exact(g)
             den = den.divide_exact(g)
         # pull the pure q-power and the leading unit out of the denominator
@@ -404,7 +394,7 @@ class RationalFn:
 
     def __hash__(self):
         # a polynomial value hashes as its numerator, since it compares equal to it
-        if self._den == LaurentPoly.one():
+        if self._den == ONE:
             return hash(self._num)
         return hash((self._num, self._den))
 
@@ -412,7 +402,7 @@ class RationalFn:
         return f"RationalFn({self._num!r}, {self._den!r})"
 
     def __str__(self):
-        if self._den == LaurentPoly.one():
+        if self._den == ONE:
             return str(self._num)
         return f"({self._num}) / ({self._den})"
 
@@ -428,13 +418,3 @@ def _coerce_rf(x) -> RationalFn:
         return x
     return RationalFn(_coerce(x))
 
-
-# shared constants
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-Q = LaurentPoly.q_power(1)
-
-
-def q_pow(n: int) -> LaurentPoly:
-    """The monomial q**n."""
-    return LaurentPoly.q_power(n)

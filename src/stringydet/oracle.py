@@ -151,6 +151,8 @@ def count_subspaces(p: int, d: int, n: int, budget: int = DEFAULT_BUDGET) -> int
     exhaustively.
     """
     PrimeField(p)
+    if d < 0 or n < 0:
+        raise InvalidRank(f"need d >= 0 and n >= 0, got d={d}, n={n}")
     if d == 0:
         return 1
     if d > n:

@@ -46,25 +46,6 @@ class NegativeExponent(ValueError):
 
 
 @dataclass(frozen=True)
-class StringyInput:
-    """A computation request: matrix size r, rank bound k, affine/projective."""
-
-    r: int
-    k: int
-    variety: str = "affine"
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise InvalidInput("r must be >= 1")
-        if not 0 <= self.k <= self.r - 1:
-            raise InvalidInput(f"need 0 <= k <= r-1, got r={self.r}, k={self.k}")
-        if self.variety not in ("affine", "projective"):
-            raise InvalidInput(f"unknown variety {self.variety!r}")
-        if self.variety == "projective" and self.k < 1:
-            raise InvalidInput("projective case needs k >= 1")
-
-
-@dataclass(frozen=True)
 class HodgeTable:
     """Diagonal stringy Hodge numbers h^{p,p} read off a polynomial.
 
@@ -115,7 +96,7 @@ class ZetaSeries:
     def coefficient(self, n: int) -> LaurentPoly:
         if not 0 <= n <= self.truncation_order:
             raise InvalidInput(f"coefficient {n} beyond truncation order")
-        return self.coefficients.get(n, LaurentPoly.zero())
+        return self.coefficients.get(n, ZERO)
 
 
 def _check_rk(r: int, k: int, k_min: int = 0) -> None:
@@ -129,12 +110,6 @@ def log_discrepancies(r: int, k: int):
     """Log discrepancies (i, (k-i)(r-i)) of the k-step blowup resolution."""
     _check_rk(r, k, k_min=1)
     return [(i, (k - i) * (r - i)) for i in range(k)]
-
-
-def relative_canonical_coeffs(r: int, k: int):
-    """Coefficients (k-i)(r-i) - 1 of the exceptional divisors."""
-    _check_rk(r, k, k_min=1)
-    return [(k - i) * (r - i) - 1 for i in range(k)]
 
 
 # -- chain sums ---------------------------------------------------------------
@@ -173,16 +148,16 @@ def _orbit_chain_sum(r: int, k: int):
     return paths[r], dens(start, r + 1)
 
 
+@lru_cache(maxsize=None)
 def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
     """The normalized orbit sum over index subsets; equals [G(k, r)].
 
     Sums prod_{i} [GL_d][G(d, i)]^2 / (q^{i(i-r+k)} - 1) over all 2^{k-1}
     subsets of {r-k+1, ..., r-1} as a chain sum and extracts the exact
-    polynomial by division over the common denominator.
+    polynomial by division over the common denominator. Both orbit routes
+    of the stringy E-function are multiples of this one value.
     """
     _check_rk(r, k)
-    if k == 0:
-        return ONE
     num, den = _orbit_chain_sum(r, k)
     return num.divide_exact(den)
 
@@ -221,31 +196,31 @@ def stringy_e_affine(r: int, k: int) -> LaurentPoly:
 
 
 def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
-    """Orbit-sum route: q^{kr} times the subset sum, extracted exactly."""
-    _check_rk(r, k)
-    if k == 0:
-        return ONE
-    num, den = _orbit_chain_sum(r, k)
-    return num.shift(k * r).divide_exact(den)
+    """Orbit-sum route: q^{kr} times the subset sum."""
+    return grassmannian_subset_sum(r, k).shift(k * r)
+
+
+def _ladder(n: int) -> LaurentPoly:
+    """1 + q + ... + q^{n-1} = (q^n - 1)/(q - 1), the class of P^{n-1}."""
+    return LaurentPoly({i: 1 for i in range(n)})
 
 
 def stringy_e_projective(r: int, k: int) -> LaurentPoly:
     """Closed form: (1 + q + ... + q^{kr-1}) * [G(k, r)], no division."""
     _check_rk(r, k, k_min=1)
-    ladder = LaurentPoly({i: 1 for i in range(k * r)})
-    return ladder * gauss_binomial(k, r)
+    return _ladder(k * r) * gauss_binomial(k, r)
 
 
 def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
     """Orbit-sum route with the last partition entry pinned to zero.
 
     Pinning the final geometric variable to 0 replaces the q^{kr}/(q^{kr}-1)
-    factor by (q^{kr}-1) over the same subset denominators; the global
-    1/(q-1) projective measure factor is applied at the end.
+    factor of the affine sum by (q^{kr}-1); with the global 1/(q-1)
+    projective measure factor that is 1 + q + ... + q^{kr-1} times the
+    subset sum.
     """
     _check_rk(r, k, k_min=1)
-    num, den = _orbit_chain_sum(r, k)
-    return (num * (q_pow(k * r) - 1)).divide_exact(den * (q_pow(1) - 1))
+    return _ladder(k * r) * grassmannian_subset_sum(r, k)
 
 
 # -- Hodge and Euler numbers -------------------------------------------------
@@ -293,7 +268,7 @@ def rank_one_resolution_data(r: int) -> ResolutionData:
     """
     if r < 2:
         raise InvalidInput("need r >= 2 for a singular rank-1 locus")
-    ladder = (q_pow(r) - 1).divide_exact(q_pow(1) - 1)
+    ladder = _ladder(r)
     off_divisor = (q_pow(r) - 1) * ladder  # E(D^1) - 1
     exceptional = ladder * ladder
     return ResolutionData(strata=((off_divisor, frozenset()),
@@ -333,7 +308,7 @@ def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> La
     _check_rk(r, k, k_min=1)
     if variant not in ("affine", "projective"):
         raise InvalidInput(f"unknown variant {variant!r}")
-    total = LaurentPoly.zero()
+    total = ZERO
     for tail in partition_tails(r, k, cap, last_zero=(variant == "projective")):
         total = total + orbit_measure(r, k, tail) * q_pow((r - k) * tail.total())
     return total

@@ -33,7 +33,6 @@ from stringydet.stringy import (
 
 from test_groth import gauss_binomial_partition_sum
 
-ONE = LaurentPoly.one()
 Q = q_pow(1)
 
 

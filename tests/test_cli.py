@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stringydet import groth, oracle
+from stringydet import groth, oracle, stringy
 from stringydet.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -14,7 +14,7 @@ from stringydet.cli import (
     main,
     table_rows,
 )
-from stringydet.exactalg import LaurentPoly
+from stringydet.exactalg import ONE, q_pow
 
 
 def run(argv, capsys):
@@ -48,6 +48,17 @@ class TestCompute:
         code, _, err = run(["compute", "--r", "2", "--k", "3"], capsys)
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--r 0 --k 0", "need 0 <= k <= r-1, got r=0, k=0"),
+        ("--r 2 --k 2", "need 0 <= k <= r-1, got r=2, k=2"),
+        ("--r 2 --k 0 --variety projective", "need 1 <= k <= r-1, got r=2, k=0"),
+    ], ids=["r0", "k_equals_r", "projective_k0"])
+    def test_bad_rank_bound_is_a_usage_error(self, argv, message, capsys):
+        code, out, err = run(["compute", *argv.split()], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestJsonRoundTrip:
@@ -91,6 +102,34 @@ class TestVerify:
         assert err.splitlines() == [
             "note: the zeta suite runs up to r = 3, not --rmax 5"]
         assert [line.split()[0] for line in out.splitlines()] == ["pass"] * 3
+
+    def test_wrong_route_names_its_first_difference(self, monkeypatch, capsys):
+        monkeypatch.setattr(stringy, "grassmannian_recursive",
+                            lambda r, k: groth.gauss_binomial(k, r) + q_pow(3))
+        code, out, _ = run(["verify", "--suite", "identities", "--rmax", "3"], capsys)
+        assert code == EXIT_FAIL
+        lines = out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == [
+            f"FAIL  recursion_is_grassmannian({r},{k})  "
+            "(first difference at q^3: route 1, reference 0)"
+            for r, k in ((2, 1), (3, 1), (3, 2))]
+        assert len(lines) > len(failed)
+        assert all(line.startswith("pass") for line in lines if line not in failed)
+
+    def test_orbit_routes_share_one_chain_sum(self, monkeypatch, capsys):
+        calls = []
+        chain_sum = stringy._orbit_chain_sum
+
+        def counted(r, k):
+            calls.append((r, k))
+            return chain_sum(r, k)
+
+        stringy.grassmannian_subset_sum.cache_clear()
+        monkeypatch.setattr(stringy, "_orbit_chain_sum", counted)
+        code, _, _ = run(["verify", "--suite", "identities", "--rmax", "6"], capsys)
+        assert code == EXIT_OK
+        assert sorted(calls) == [(r, k) for r in range(2, 7) for k in range(1, r)]
 
     def test_bad_prime_is_a_usage_error(self, capsys):
         code, out, err = run(["verify", "--suite", "oracle", "--p", "11"], capsys)
@@ -189,7 +228,7 @@ class TestZetaAndOracle:
 
     def test_wrong_class_fails_and_lists_every_check(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "class_gl",
-                            lambda d: groth.class_gl(d) + LaurentPoly.one())
+                            lambda d: groth.class_gl(d) + ONE)
         code, out, _ = run(["oracle", "--p", "2", "--rmax", "2"], capsys)
         assert code == EXIT_FAIL
         lines = out.splitlines()[1:]

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from stringydet.exactalg import LaurentPoly, q_pow
+from stringydet.exactalg import ONE, LaurentPoly, q_pow
 from stringydet.groth import (
     Composition,
     InvalidDimension,
@@ -22,7 +22,6 @@ from stringydet.groth import (
 )
 from stringydet import oracle
 
-ONE = LaurentPoly.one()
 Q = q_pow(1)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from stringydet import groth, oracle
-from stringydet.exactalg import LaurentPoly
+from stringydet.exactalg import ONE
 from stringydet.groth import InvalidRank, class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
@@ -108,8 +108,11 @@ class TestCensus:
         for r, s in ((-1, 3), (2, -1), (-1, -1)):
             with pytest.raises(InvalidRank, match=f"got r={r}, s={s}"):
                 rank_census(2, r, s, budget=0)
-        with pytest.raises(InvalidRank):
-            count_subspaces(2, -1, 3)
+        # the shortcuts for d == 0 and d > n come after the shape check
+        for d, n in ((-1, 3), (2, -1), (0, -1), (-1, -3)):
+            with pytest.raises(InvalidRank):
+                count_subspaces(2, d, n)
+        assert count_subspaces(2, 3, 2) == 0
 
     def test_counts_are_read_only(self):
         # every caller shares the cached census, so no caller may alter it
@@ -162,7 +165,7 @@ class TestVerifyClasses:
     def test_every_disagreement_is_recorded(self, monkeypatch):
         names = [name for name, _, _ in verify_classes(2, 3).checks]
         monkeypatch.setattr(oracle, "class_gl",
-                            lambda d: groth.class_gl(d) + LaurentPoly.one())
+                            lambda d: groth.class_gl(d) + ONE)
         report = verify_classes(2, 3)
         assert not report.passed
         assert [name for name, _, _ in report.checks] == names
@@ -182,10 +185,10 @@ class TestVerifyClasses:
     def test_point_identity_escalation(self):
         # a degree-D univariate identity checked at D+1 points is exact:
         # certify the rank identity symbolically from point counts
-        from stringydet.exactalg import LaurentPoly, q_pow
+        from stringydet.exactalg import q_pow
         from stringydet.groth import class_independent_tuples
         r, k = 3, 2
-        rhs = LaurentPoly.one()
+        rhs = ONE
         for m in range(r - k, r):
             rhs = rhs + gauss_binomial(m, r) * class_independent_tuples(r - m, k)
         degree = max(q_pow(k * r).degree(), rhs.degree())

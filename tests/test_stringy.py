@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from stringydet.exactalg import LaurentPoly, NotPolynomial, q_pow
+from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
 from stringydet.groth import PartitionTail, class_flag_quotient, class_gl, gauss_binomial
 from stringydet.stringy import (
     _orbit_chain_sum,
@@ -13,7 +13,6 @@ from stringydet.stringy import (
     InvalidInput,
     NegativeExponent,
     ResolutionData,
-    StringyInput,
     grassmannian_recursive,
     grassmannian_subset_sum,
     hodge_table,
@@ -22,7 +21,6 @@ from stringydet.stringy import (
     orbit_tail_degree_bound,
     rank_one_resolution_check,
     rank_one_resolution_data,
-    relative_canonical_coeffs,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
     stringy_e_from_resolution,
@@ -36,7 +34,6 @@ from stringydet.stringy import (
 
 from test_groth import gauss_binomial_partition_sum
 
-ONE = LaurentPoly.one()
 Q = q_pow(1)
 
 
@@ -55,12 +52,6 @@ class TestDiscrepancies:
         for r in range(2, 9):
             for k in range(1, r):
                 assert all(a >= 2 for _, a in log_discrepancies(r, k))
-
-    def test_relative_canonical(self):
-        assert relative_canonical_coeffs(3, 2) == [5, 1]
-        assert relative_canonical_coeffs(4, 3) == [11, 5, 1]
-        for r in range(2, 7):
-            assert relative_canonical_coeffs(r, 1) == [r - 1]
 
     def test_invalid(self):
         with pytest.raises(InvalidInput):
@@ -119,7 +110,7 @@ def subset_sum_numerator(r, k):
     common = ONE
     for den in dens.values():
         common = common * den
-    total = LaurentPoly.zero()
+    total = ZERO
     middle = range(r - k + 1, r)
     for size in range(len(middle) + 1):
         for excluded in itertools.combinations(middle, size):
@@ -250,7 +241,7 @@ class TestOrbitSums:
 
     def test_r2_partial_sums_are_geometric(self):
         for cap in range(4):
-            expected = LaurentPoly.zero()
+            expected = ZERO
             base = (ONE + Q) ** 2 * (Q - 1)
             for m in range(cap + 1):
                 expected = expected + base * q_pow(-2 * m)
@@ -326,12 +317,12 @@ class TestZeta:
 class TestInputValidation:
     def test_bad_rank_bound(self):
         with pytest.raises(InvalidInput):
-            StringyInput(2, 2)
+            stringy_e_affine(2, 2)
 
     def test_projective_needs_positive_k(self):
         with pytest.raises(InvalidInput):
-            StringyInput(2, 0, "projective")
+            stringy_e_projective(2, 0)
 
     def test_ok(self):
-        StringyInput(3, 2, "projective")
-        StringyInput(1, 0, "affine")
+        stringy_e_projective(3, 2)
+        stringy_e_affine(1, 0)
