@@ -1,7 +1,8 @@
 """Exact arithmetic kernel.
 
-Sparse Laurent polynomials in one variable ``q`` with arbitrary-precision
-rational coefficients, and gcd-reduced rational functions.
+Sparse Laurent polynomials in one variable ``q`` with int coefficients,
+``Fraction`` only where a value is not integral (normalised on the way in, so
+integer work stays in ``int``), and gcd-reduced rational functions.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -23,11 +24,14 @@ class NotPolynomial(ArithmeticError):
     """A rational function expected to be a polynomial is not one."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _norm(x):
+    """The canonical coefficient: an int when the value is integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(x).__name__}")
 
 
@@ -35,7 +39,8 @@ class LaurentPoly:
     """A Laurent polynomial in one variable ``q`` over the rationals.
 
     Stored sparsely as a map from (possibly negative) exponent to nonzero
-    coefficient; the zero polynomial is the empty map.
+    coefficient, an int when integral and a Fraction otherwise; the zero
+    polynomial is the empty map.
     """
 
     __slots__ = ("_terms",)
@@ -46,7 +51,7 @@ class LaurentPoly:
             for exp, coeff in terms.items():
                 if not isinstance(exp, int) or isinstance(exp, bool):
                     raise TypeError("exponents must be integers")
-                c = _as_fraction(coeff)
+                c = _norm(coeff)
                 if c != 0:
                     clean[exp] = c
         object.__setattr__(self, "_terms", clean)
@@ -76,7 +81,7 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no order")
         return min(self._terms)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         return self._terms[self.degree()]
 
     def is_polynomial(self) -> bool:
@@ -89,9 +94,9 @@ class LaurentPoly:
         other = _coerce(other)
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
-                out[exp] = s
+                out[exp] = _norm(s)
             else:
                 out.pop(exp, None)
         return _raw(out)
@@ -110,15 +115,12 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         other = _coerce(other)
         out = {}
+        get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _raw(out)
+                out[e] = get(e, 0) + c1 * c2
+        return _raw({e: _norm(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -139,23 +141,23 @@ class LaurentPoly:
         return _raw({e + n: c for e, c in self._terms.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
+        c = _norm(c)
         if c == 0:
             return ZERO
-        return _raw({e: c * v for e, v in self._terms.items()})
+        return _raw({e: _norm(c * v) for e, v in self._terms.items()})
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, x) -> Fraction:
-        """Exact value at a rational point ``x`` (nonzero if negative exponents occur)."""
-        x = _as_fraction(x)
+    def evaluate(self, x) -> int | Fraction:
+        """Exact value at a rational ``x``, nonzero if negative exponents occur."""
+        x = _norm(x)
         if x == 0 and not self.is_polynomial():
             raise EvalAtZeroWithNegativeExponent(
                 "cannot evaluate at 0: negative exponents present")
-        total = Fraction(0)
+        total = 0
         for exp, c in self._terms.items():
-            total += c * x ** exp
-        return total
+            total += c * (x ** exp if exp >= 0 else Fraction(x) ** exp)
+        return _norm(total)
 
     __call__ = evaluate
 
@@ -168,8 +170,7 @@ class LaurentPoly:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        quot, rem = _divmod_dense(_dense(self.shift(-self.order())),
-                                  _dense(other.shift(-other.order())))
+        quot, rem = _divmod_dense(_dense(self), _dense(other))
         if any(rem):
             raise NotPolynomial("remainder is nonzero in exact division")
         return _from_dense(quot).shift(self.order() - other.order())
@@ -217,7 +218,7 @@ def q_pow(n: int) -> LaurentPoly:
 
 
 def _raw(terms: dict) -> LaurentPoly:
-    """Build without re-validating; callers guarantee nonzero Fractions."""
+    """Build without re-validating; callers guarantee nonzero normalised coefficients."""
     p = LaurentPoly()
     object.__setattr__(p, "_terms", terms)
     return p
@@ -231,21 +232,21 @@ def _coerce(x) -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
 
 
-# -- dense helpers for division and gcd (nonnegative exponents only) ------
+# -- dense helpers for division and gcd -------------------------------------
 
 def _dense(p: LaurentPoly) -> list:
-    """Coefficient list c[0..deg] for a polynomial with order >= 0."""
+    """Coefficient list of p / q^order(p), lowest first; [] for zero."""
     if p.is_zero():
         return []
-    deg = p.degree()
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        out[e] = c
+    low = p.order()
+    out = [0] * (p.degree() - low + 1)
+    for e, c in p._terms.items():
+        out[e - low] = c
     return out
 
 
 def _from_dense(coeffs: list) -> LaurentPoly:
-    return _raw({i: c for i, c in enumerate(coeffs) if c})
+    return _raw({i: _norm(c) for i, c in enumerate(coeffs) if c})
 
 
 def _trim(coeffs: list) -> list:
@@ -255,18 +256,20 @@ def _trim(coeffs: list) -> list:
 
 
 def _divmod_dense(num: list, den: list):
+    """Dense long division; a leading coefficient of +-1 keeps int inputs in int."""
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    unit = lead == 1 or lead == -1
+    quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
-        t = c / lead
-        quot[i - dd] = t
-        for j in range(dd + 1):
-            num[i - dd + j] -= t * den[j]
+        t = c * lead if unit else _norm(Fraction(c) / lead)
+        lo = i - dd
+        quot[lo] = t
+        num[lo:i + 1] = [a - t * b for a, b in zip(num[lo:i + 1], den)]
     return _trim(quot), _trim(num)
 
 
@@ -276,16 +279,14 @@ def _gcd_dense(a: list, b: list) -> list:
     Each remainder is made monic before the next division step, so the
     coefficients do not grow from one step to the next.
     """
-    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        _, r = _divmod_dense(a, b)
-        if r:
-            r = [c / r[-1] for c in r]
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _monic(_divmod_dense(a, b)[1])
+    return _monic(a)
+
+
+def _monic(coeffs: list) -> list:
+    lead = Fraction(coeffs[-1]) if coeffs else 1
+    return [_norm(c / lead) for c in coeffs]
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -294,14 +295,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     Pure q-power content is discarded: gcd(q^m * f, q^n * g) is reported as
     gcd(f, g) with f, g of order 0.
     """
-    if a.is_zero() and b.is_zero():
-        return ZERO
-    if a.is_zero():
-        return b.shift(-b.order()).scale(1 / b.leading_coeff())
-    if b.is_zero():
-        return a.shift(-a.order()).scale(1 / a.leading_coeff())
-    g = _gcd_dense(_dense(a.shift(-a.order())), _dense(b.shift(-b.order())))
-    return _from_dense(g)
+    return _from_dense(_gcd_dense(_dense(a), _dense(b)))
 
 
 class RationalFn:
@@ -333,8 +327,8 @@ class RationalFn:
         den = den.shift(-shift)
         lead = den.leading_coeff()
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num = num.scale(Fraction(1) / lead)
+            den = den.scale(Fraction(1) / lead)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 

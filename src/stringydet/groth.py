@@ -87,11 +87,11 @@ def partition_tails(r: int, k: int, cap: int, last_zero: bool = False):
             yield PartitionTail(tuple(reversed(rest)) + (last,), r, k)
 
 
-def q_factor_product(exponents) -> LaurentPoly:
-    """The product of q^a - 1 over the exponents a, in order; 1 for none."""
-    result = ONE
+def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
+    """``base`` times the product of q^a - 1 over the exponents a, in order."""
+    result = base
     for a in exponents:
-        result = result * (q_pow(a) - 1)
+        result = result.shift(a) - result
     return result
 
 
@@ -100,7 +100,7 @@ def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
     if d < 0:
         raise InvalidDimension("d must be nonnegative")
-    return q_pow(d * (d - 1) // 2) * q_factor_product(range(1, d + 1))
+    return q_factor_product(range(1, d + 1)).shift(d * (d - 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +122,7 @@ def class_independent_tuples(d: int, k: int) -> LaurentPoly:
         raise InvalidDimension(f"need 0 <= d <= k, got d={d}, k={k}")
     result = ONE
     for j in range(d):
-        result = result * (q_pow(k) - q_pow(j))
+        result = result.shift(k) - result.shift(j)
     return result
 
 

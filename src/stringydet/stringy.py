@@ -28,7 +28,6 @@ from .exactalg import LaurentPoly, ONE, ZERO, q_pow
 from .groth import (
     PartitionTail,
     class_flag_quotient,
-    class_gl,
     class_levi,
     composition_of_partition,
     gauss_binomial,
@@ -114,10 +113,11 @@ def log_discrepancies(r: int, k: int):
 
 # -- chain sums ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _step_class(d: int, b: int) -> LaurentPoly:
-    """[GL_d][G(d, b)]^2, the class carried by a chain step b - d -> b."""
-    g = gauss_binomial(d, b)
-    return class_gl(d) * g * g
+    """[GL_d][G(d, b)]^2, the class of a chain step b - d -> b; [GL_d][G(d, b)] is
+    q^{d(d-1)/2} prod_{b-d < i <= b} (q^i - 1), the class of injective maps k^d -> k^b."""
+    return q_factor_product(range(b - d + 1, b + 1), gauss_binomial(d, b)).shift(d * (d - 1) // 2)
 
 
 def _orbit_chain_sum(r: int, k: int):
@@ -135,17 +135,17 @@ def _orbit_chain_sum(r: int, k: int):
     """
     start = r - k
 
-    def dens(lo: int, hi: int) -> LaurentPoly:
-        # the denominators of the indices lo < i < hi
-        return q_factor_product(i * (i - start) for i in range(lo + 1, hi))
+    def skipped(lo: int, hi: int) -> list:
+        # the denominator exponents of the indices lo < i < hi
+        return [i * (i - start) for i in range(lo + 1, hi)]
 
     paths = {start: ONE}
     for b in range(start + 1, r + 1):
         total = ZERO
         for a in range(start, b):
-            total = total + paths[a] * dens(a, b) * _step_class(b - a, b)
+            total = total + q_factor_product(skipped(a, b), paths[a] * _step_class(b - a, b))
         paths[b] = total
-    return paths[r], dens(start, r + 1)
+    return paths[r], q_factor_product(skipped(start, r + 1))
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +177,7 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
 
     def tail_factor(m: int) -> LaurentPoly:
         # (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
-        num = q_factor_product(range(m + 1, r + 1))
-        num = (num * num).shift((r - m) * (r - m - 1) // 2)
+        num = q_factor_product([*range(m + 1, r + 1)] * 2).shift((r - m) * (r - m - 1) // 2)
         return num.divide_exact(q_factor_product(range(1, r - m + 1)))
 
     total = ZERO
@@ -192,7 +191,7 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
 def stringy_e_affine(r: int, k: int) -> LaurentPoly:
     """Closed form: q^{kr} * [G(k, r)]."""
     _check_rk(r, k)
-    return q_pow(k * r) * gauss_binomial(k, r)
+    return gauss_binomial(k, r).shift(k * r)
 
 
 def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
@@ -231,13 +230,13 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
         raise NegativeExponent("stringy Hodge numbers need a polynomial")
     diag = {}
     for exp, c in sorted(p.terms.items()):
-        if c.denominator != 1:
+        if type(c) is not int:
             raise NegativeExponent(f"non-integer coefficient {c} at q^{exp}")
-        diag[exp] = int(c)
+        diag[exp] = c
     return HodgeTable(diag=diag)
 
 
-def stringy_euler(p: LaurentPoly) -> Fraction:
+def stringy_euler(p: LaurentPoly) -> int | Fraction:
     """Value at q = 1 (the u, v -> 1 limit for polynomial inputs)."""
     return p.evaluate(1)
 
@@ -253,8 +252,8 @@ def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
     """
     total = ZERO
     for e_poly, idx in data.strata:
-        total = total + e_poly * q_factor_product(
-            1 if i in idx else a for i, a in enumerate(data.discrepancies))
+        total = total + q_factor_product(
+            (1 if i in idx else a for i, a in enumerate(data.discrepancies)), e_poly)
     return total.divide_exact(q_factor_product(data.discrepancies))
 
 
@@ -289,12 +288,16 @@ def orbit_measure(r: int, k: int, tail: PartitionTail) -> LaurentPoly:
 
     [flag quotient]^2 * [Levi] * q^{-sum (2i-1) lambda_i}.
     """
-    comp, cumulative = composition_of_partition(tail)
-    flag = class_flag_quotient(r, cumulative)
-    levi = class_levi(comp)
     expo = -sum((2 * i - 1) * lam
                 for i, lam in zip(range(r - k + 1, r + 1), tail.entries))
-    return flag * flag * levi * q_pow(expo)
+    return _orbit_class(r, *composition_of_partition(tail)).shift(expo)
+
+
+@lru_cache(maxsize=None)
+def _orbit_class(r: int, comp, cumulative: tuple) -> LaurentPoly:
+    """[flag quotient]^2 * [Levi], shared by every tail with the same block structure."""
+    flag = class_flag_quotient(r, cumulative)
+    return flag * flag * class_levi(comp)
 
 
 def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> LaurentPoly:
@@ -310,7 +313,7 @@ def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> La
         raise InvalidInput(f"unknown variant {variant!r}")
     total = ZERO
     for tail in partition_tails(r, k, cap, last_zero=(variant == "projective")):
-        total = total + orbit_measure(r, k, tail) * q_pow((r - k) * tail.total())
+        total = total + orbit_measure(r, k, tail).shift((r - k) * tail.total())
     return total
 
 
@@ -360,13 +363,14 @@ def zeta_closed_expansion(r: int, order: int) -> ZetaSeries:
     top = order + r
     paths = {0: {0: ONE}}
     for b in range(1, r + 1):
+        # a path short of r still needs a last step of T-degree >= r
+        limit = top if b == r else order
         reached = {}
         for a in range(b):
             step = _step_class(b - a, b)
             for t, c in paths[a].items():
-                reached[t] = reached.get(t, ZERO) + c * step
-        # a path short of r still needs a last step of T-degree >= r
-        limit = top if b == r else order
+                if t + b <= limit:  # else no arrival at b fits the truncation
+                    reached[t] = reached.get(t, ZERO) + c * step
         arrived = {}
         for t, c in reached.items():
             for j in range(1, (limit - t) // b + 1):

@@ -178,3 +178,14 @@ def test_criterion_10_kernel_properties():
             assert gauss_binomial(d, k) == gauss_binomial(k - d, k)
     _report(10, f"{cases} randomized kernel cases plus Gaussian binomial "
                 "dual-method agreement and symmetry for d <= k <= 12")
+
+
+def test_north_star_corank_one_r12():
+    # exactness at the size of north-star win 2, not its timing
+    for closed_form, orbit_route in ((stringy_e_affine, stringy_e_affine_from_orbits),
+                                     (stringy_e_projective, stringy_e_projective_from_orbits)):
+        closed = closed_form(12, 11)
+        assert orbit_route(12, 11) == closed, closed_form.__name__
+        assert hodge_table(closed).non_negative, closed_form.__name__
+    _report("r = 12", "corank-one orbit sums equal the closed forms on both "
+                      "varieties, with nonnegative Hodge numbers")

@@ -1,5 +1,6 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,27 @@ class TestJsonRoundTrip:
         record = compute_record(3, 1, "projective")
         assert all(isinstance(c, str) for _, c in record.stringyE)
 
+    @pytest.mark.parametrize("argv", [
+        "compute --r 7 --k 6 --variety affine --format json",
+        "compute --r 7 --k 6 --variety projective --format json",
+        "table --rmax 6 --variety both --format json",
+        "zeta --r 3 --order 4 --format json",
+    ], ids=["compute_affine", "compute_projective", "table", "zeta"])
+    def test_every_coefficient_is_an_integer_string(self, argv, capsys):
+        # a float coefficient would print as "1.0"
+        code, out, _ = run(argv.split(), capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        if argv.startswith("compute"):
+            strings = [c for _, c in payload["stringyE"]] + [payload["eulerNumber"]]
+        elif argv.startswith("table"):
+            strings = [c for row in payload for _, c in row["coefficients"]]
+            strings += [row["euler"] for row in payload]
+        else:
+            strings = [c for pairs in payload["coefficients"].values() for _, c in pairs]
+        assert strings
+        assert all(re.fullmatch(r"-?\d+", c) for c in strings), strings
+
 
 class TestVerify:
     def test_identities_small(self, capsys):
@@ -130,6 +152,26 @@ class TestVerify:
         code, _, _ = run(["verify", "--suite", "identities", "--rmax", "6"], capsys)
         assert code == EXIT_OK
         assert sorted(calls) == [(r, k) for r in range(2, 7) for k in range(1, r)]
+
+    def test_identities_compute_each_closed_form_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(name):
+            closed_form = getattr(stringy, name)
+
+            def wrapped(r, k):
+                calls.append((name, r, k))
+                return closed_form(r, k)
+            return wrapped
+
+        for name in ("stringy_e_affine", "stringy_e_projective"):
+            monkeypatch.setattr(stringy, name, counted(name))
+        code, _, _ = run(["verify", "--suite", "identities", "--rmax", "6"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 30
+        assert sorted(calls) == [(name, r, k)
+                                 for name in ("stringy_e_affine", "stringy_e_projective")
+                                 for r in range(2, 7) for k in range(1, r)]
 
     def test_bad_prime_is_a_usage_error(self, capsys):
         code, out, err = run(["verify", "--suite", "oracle", "--p", "11"], capsys)

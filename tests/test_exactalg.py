@@ -21,17 +21,17 @@ from stringydet.exactalg import (
 Q = q_pow(1)
 
 
-def convolve(a: dict, b: dict) -> dict:
-    """Independent coefficient-wise convolution oracle."""
+def fraction_product(a: dict, b: dict) -> dict:
+    """Schoolbook product over Fraction: the oracle for the kernel's ``*``."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {e: c for e, c in out.items() if c != 0}
 
 
 def long_division(num: list, den: list):
-    """Independent dense long-division oracle (coefficient lists, low first)."""
+    """Dense long division over Fraction (coefficient lists, low first)."""
     num = [Fraction(c) for c in num]
     den = [Fraction(c) for c in den]
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
@@ -45,6 +45,22 @@ def long_division(num: list, den: list):
     return quot, num
 
 
+def fraction_divide_exact(num: LaurentPoly, den: LaurentPoly) -> dict:
+    """The oracle for ``divide_exact``: long division over Fraction after
+    clearing q-powers; raises NotPolynomial on a nonzero remainder."""
+    if num.is_zero():
+        return {}
+
+    def dense(p):
+        return [p.terms.get(e, 0) for e in range(p.order(), p.degree() + 1)]
+
+    quot, rem = long_division(dense(num), dense(den))
+    if rem:
+        raise NotPolynomial("nonzero remainder")
+    low = num.order() - den.order()
+    return {low + i: c for i, c in enumerate(quot) if c != 0}
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert (Q - 1) * (Q + 1) == q_pow(2) - 1
@@ -55,8 +71,7 @@ class TestArithmetic:
 
     def test_square_matches_convolution_oracle(self):
         p = ONE + Q
-        expected = convolve({0: 1, 1: 1}, {0: 1, 1: 1})
-        assert (p * p).terms == {e: Fraction(c) for e, c in expected.items()}
+        assert (p * p).terms == fraction_product({0: 1, 1: 1}, {0: 1, 1: 1})
 
     def test_zero_coefficients_pruned(self):
         p = LaurentPoly({3: 1}) - LaurentPoly({3: 1})
@@ -182,6 +197,120 @@ def test_gcd_divides_both(a, b):
     b.divide_exact(g)
 
 
+# -- the int kernel against the Fraction oracles ------------------------------
+
+big_int = st.integers(-2 ** 70, 2 ** 70)
+coefficient = st.one_of(st.integers(-5, 5), big_int, small_fraction)
+mixed_terms = st.dictionaries(st.integers(-6, 8), coefficient, max_size=8)
+alternating_terms = st.tuples(
+    st.integers(-4, 4), st.lists(st.integers(1, 2 ** 64), min_size=1, max_size=12),
+).map(lambda t: {t[0] + i: (-1) ** i * c for i, c in enumerate(t[1])})
+operand_terms = st.one_of(mixed_terms, alternating_terms)
+divisor = st.one_of(
+    operand_terms.map(LaurentPoly).filter(lambda p: not p.is_zero()),
+    st.sampled_from([2 * Q - 2, 3 * q_pow(2) - 1, Q - 1, q_pow(-2) * (q_pow(3) - 1),
+                     LaurentPoly({1: Fraction(1, 2), 0: 1}), -Q + 4]),
+)
+
+
+@given(operand_terms, operand_terms)
+def test_product_matches_fraction_schoolbook(a, b):
+    assert (LaurentPoly(a) * LaurentPoly(b)).terms == fraction_product(a, b)
+
+
+@given(operand_terms, divisor)
+def test_exact_quotient_matches_fraction_long_division(p, d):
+    p = LaurentPoly(p)
+    assert (p * d).divide_exact(d).terms == fraction_divide_exact(p * d, d) == p.terms
+
+
+@given(operand_terms, divisor)
+def test_any_quotient_agrees_with_fraction_long_division(n, d):
+    n = LaurentPoly(n)
+    try:
+        expected = fraction_divide_exact(n, d)
+    except NotPolynomial:
+        with pytest.raises(NotPolynomial):
+            n.divide_exact(d)
+    else:
+        assert n.divide_exact(d).terms == expected
+
+
+def test_non_divisible_pair_raises():
+    n, d = q_pow(2) + 1, 2 * Q - 2
+    with pytest.raises(NotPolynomial):
+        fraction_divide_exact(n, d)
+    with pytest.raises(NotPolynomial):
+        n.divide_exact(d)
+
+
+# -- coefficient types: int when integral, Fraction otherwise, never float ----
+
+int_laurent = st.dictionaries(st.integers(-6, 8), big_int, max_size=8).map(LaurentPoly)
+int_polynomial = st.dictionaries(st.integers(0, 8), big_int, max_size=8).map(LaurentPoly)
+
+
+def _all_int(p: LaurentPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _canonical(p: LaurentPoly) -> bool:
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in p.terms.values())
+
+
+@given(int_laurent, int_laurent, big_int, int_polynomial, st.integers(-5, 5))
+def test_integer_inputs_give_int_coefficients(a, b, c, p, x):
+    assert _all_int(a + b) and _all_int(a - b) and _all_int(a * b)
+    assert _all_int(a.scale(c))
+    if not b.is_zero():
+        assert _all_int((a * b).divide_exact(b))
+    assert type(p.evaluate(x)) is int
+
+
+@given(operand_terms, operand_terms, coefficient, st.fractions(max_denominator=4))
+def test_mixed_inputs_give_canonical_coefficients(a, b, c, x):
+    a, b = LaurentPoly(a), LaurentPoly(b)
+    assert _canonical(a) and _canonical(a + b) and _canonical(a * b)
+    assert _canonical(a.scale(c))
+    if not b.is_zero():
+        assert _canonical((a * b).divide_exact(b))
+        assert _canonical(laurent_gcd(a, b))
+        f = RationalFn(a, b)
+        assert _canonical(f.num) and _canonical(f.den)
+    if x != 0:
+        value = a.evaluate(x)
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+
+
+def test_integral_fractions_become_ints():
+    assert LaurentPoly({0: Fraction(6, 2)}).terms == {0: 3}
+    assert type(LaurentPoly({0: Fraction(6, 2)}).terms[0]) is int
+    half = LaurentPoly({1: Fraction(1, 2)})
+    assert type((half + half).terms[1]) is int
+    assert type((half * (2 * Q)).terms[2]) is int
+    assert type((2 * Q).scale(Fraction(1, 2)).terms[1]) is int
+    assert type(half.evaluate(2)) is int
+    assert type(q_pow(-1).evaluate(1)) is int
+    assert type(LaurentPoly({0: True}).terms[0]) is int
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1.0})
+    with pytest.raises(TypeError):
+        Q.scale(0.5)
+    with pytest.raises(TypeError):
+        Q.evaluate(2.0)
+
+
+def test_monic_gcd_of_integer_inputs_has_no_float():
+    g = laurent_gcd(2 * Q - 2, 4 * q_pow(2) - 4)
+    assert g == Q - 1 and _all_int(g)
+    f = RationalFn(q_pow(3), 2 * q_pow(2) - 2 * Q)
+    assert f.num.terms == {2: Fraction(1, 2)} and _all_int(f.den)
+
+
 def _cyclotomic_product(exponents) -> LaurentPoly:
     out = ONE
     for a in exponents:
@@ -208,10 +337,19 @@ def test_gcd_degree_128_dense_times_cyclotomic():
 scalar = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
                                                     max_denominator=2))
 small_laurent = st.dictionaries(st.integers(-1, 1), scalar, max_size=2).map(LaurentPoly)
+
+
+def _built_from_fractions(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly({e: Fraction(c) for e, c in p.terms.items()})
+
+
 hashable_value = st.one_of(
     scalar,
+    scalar.map(Fraction),
     scalar.map(lambda c: LaurentPoly({0: c})),
+    scalar.map(lambda c: LaurentPoly({0: Fraction(c)})),
     small_laurent,
+    small_laurent.map(_built_from_fractions),
     small_laurent.map(RationalFn),
     st.tuples(small_laurent, nonzero_laurent).map(lambda pd: RationalFn(pd[0] * pd[1], pd[1])),
     st.tuples(small_laurent, st.sampled_from([Q - 1, Q + 1, 2 * Q])).map(
@@ -227,8 +365,11 @@ def test_equal_values_hash_equal(a, b):
 
 def test_constants_share_a_set_slot():
     three = LaurentPoly({0: 3})
-    assert len({three, 3, Fraction(3), RationalFn(three)}) == 1
-    assert len({ZERO, 0, RationalFn(ZERO)}) == 1
+    assert len({three, 3, Fraction(3), RationalFn(three), LaurentPoly({0: Fraction(6, 2)})}) == 1
+    assert len({ZERO, 0, RationalFn(ZERO), LaurentPoly({0: Fraction(0)})}) == 1
+    linear = LaurentPoly({1: 3, 0: -1})
+    assert len({linear, LaurentPoly({1: Fraction(6, 2), 0: Fraction(-1)}),
+                RationalFn(linear), RationalFn(2 * linear, LaurentPoly({0: Fraction(4, 2)}))}) == 1
 
 
 def test_immutability():

@@ -1,6 +1,8 @@
 """Tests for the building-block classes and the rank stratification."""
 import itertools
 
+from fractions import Fraction
+
 import pytest
 
 from stringydet.exactalg import ONE, LaurentPoly, q_pow
@@ -17,6 +19,7 @@ from stringydet.groth import (
     composition_of_partition,
     gauss_binomial,
     partition_tails,
+    q_factor_product,
     rank_identity_check,
     rank_stratum_class,
 )
@@ -36,6 +39,23 @@ def gauss_binomial_partition_sum(d: int, k: int) -> LaurentPoly:
         e = sum(lam)
         terms[e] = terms.get(e, 0) + 1
     return LaurentPoly(terms)
+
+
+class TestQFactorProduct:
+    def test_empty_product_is_the_base(self):
+        assert q_factor_product([]) == ONE
+        base = LaurentPoly({-2: Fraction(1, 2), 3: -7})
+        assert q_factor_product([], base) == base
+
+    def test_base_times_the_factors(self):
+        # against products of the factors built term by term
+        base = LaurentPoly({-2: Fraction(1, 2), 0: 3, 3: -7})
+        for exponents in ([1], [2, 3], [1, 1, 4], [3, 3]):
+            want = base
+            for a in exponents:
+                want = want * LaurentPoly({a: 1, 0: -1})
+            assert q_factor_product(exponents, base) == want, exponents
+            assert q_factor_product(iter(exponents)) * base == want, exponents
 
 
 class TestGeneralLinear:

@@ -181,6 +181,11 @@ class TestHodgeAndEuler:
         with pytest.raises(NegativeExponent):
             hodge_table(q_pow(-1))
 
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(NegativeExponent):
+            hodge_table(LaurentPoly({0: 1, 1: Fraction(1, 2)}))
+        assert type(hodge_table(LaurentPoly({1: Fraction(4, 2)})).diag[1]) is int
+
     def test_euler_numbers(self):
         for r in range(2, 11):
             for k in range(1, r):
