@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from math import comb
 
@@ -35,7 +34,6 @@ def _routes(variety: str) -> list:
     return [getattr(stringy, name) for name in VARIETIES[variety]]
 
 
-@dataclass
 class OutputRecord:
     """Machine-readable result of one invariant computation.
 
@@ -43,18 +41,23 @@ class OutputRecord:
     arbitrary-precision integers or floats.
     """
 
-    r: int
-    k: int
-    variety: str
-    stringyE: list = field(default_factory=list)  # [[exponent, "coeff"], ...]
-    hodgeDiagonal: dict = field(default_factory=dict)
-    eulerNumber: str = "0"
-    nonNegative: bool = True
-    discrepancies: list = field(default_factory=list)
-    checks: list = field(default_factory=list)  # [[name, passed, details], ...]
+    def __init__(self, r: int, k: int, variety: str, stringyE=None, hodgeDiagonal=None,
+                 eulerNumber: str = "0", nonNegative: bool = True, discrepancies=None,
+                 checks=None):
+        self.r, self.k, self.variety = r, k, variety
+        self.stringyE = [] if stringyE is None else stringyE  # [[exponent, "coeff"], ...]
+        self.hodgeDiagonal = {} if hodgeDiagonal is None else hodgeDiagonal
+        self.eulerNumber, self.nonNegative = eulerNumber, nonNegative
+        self.discrepancies = [] if discrepancies is None else discrepancies
+        self.checks = [] if checks is None else checks  # [[name, passed, details], ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -96,16 +99,13 @@ def compute_record(r: int, k: int, variety: str) -> OutputRecord:
     """Compute and compare both routes of a variety; the first validates (r, k)."""
     closed, summed = (route(r, k) for route in _routes(variety))
     table = stringy.hodge_table(closed)
-    record = OutputRecord(r=r, k=k, variety=variety)
-    record.stringyE = _poly_pairs(closed)
-    record.hodgeDiagonal = {str(p): v for p, v in table.diag.items()}
-    record.eulerNumber = str(stringy.stringy_euler(closed))
-    record.nonNegative = table.non_negative
-    if k >= 1:
-        record.discrepancies = [[i, a] for i, a in stringy.log_discrepancies(r, k)]
-    record.checks = [_compare("closed_equals_orbit_sum", summed, closed,
-                              "exact polynomial comparison of the two routes")]
-    return record
+    return OutputRecord(
+        r, k, variety, stringyE=_poly_pairs(closed),
+        hodgeDiagonal={str(p): v for p, v in table.diag.items()},
+        eulerNumber=str(stringy.stringy_euler(closed)), nonNegative=table.non_negative,
+        discrepancies=[[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
+        checks=[_compare("closed_equals_orbit_sum", summed, closed,
+                         "exact polynomial comparison of the two routes")])
 
 
 def _record_text(record: OutputRecord) -> str:
@@ -235,7 +235,8 @@ def table_rows(rmax: int, varieties) -> list:
 
 def _render_table(rows: list, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2)
+        # one compact row object per line: without indent, json takes its C encoder
+        return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
     if fmt == "csv":
         lines = ["r,k,variety,dim,degree,euler,nonneg,coefficients"]
         for row in rows:
@@ -306,6 +307,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
+        if args.command in ("verify", "oracle") and args.budget < 0:
+            raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
         if args.command == "compute":
             record = compute_record(args.r, args.k, args.variety)
             print(record.to_json() if args.format == "json" else _record_text(record))
@@ -328,6 +331,8 @@ def main(argv=None) -> int:
             return EXIT_OK if _print_checks(checks) else EXIT_FAIL
 
         if args.command == "table":
+            if args.rmax < 2:
+                raise InvalidInput(f"no row to tabulate: --rmax {args.rmax}")
             varieties = (["affine", "projective"] if args.variety == "both"
                          else [args.variety])
             print(_render_table(table_rows(args.rmax, varieties), args.format))

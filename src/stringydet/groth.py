@@ -8,10 +8,11 @@ rank stratification of matrix space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, ONE, q_pow
+from .exactalg import (DivisionByZero, LaurentPoly, NotPolynomial, ONE, ZERO, _dense,
+                       _from_dense, q_pow)
 
 
 class InvalidDimension(ValueError):
@@ -26,16 +27,16 @@ class InvalidRank(ValueError):
     """Rank outside the range allowed by the matrix shape."""
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(namedtuple("Composition", "blocks")):
     """An ordered tuple of positive block sizes summing to ``rank``."""
 
-    blocks: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(b, int) and b >= 1 for b in self.blocks):
+    def __new__(cls, blocks):
+        blocks = tuple(blocks)
+        if not all(isinstance(b, int) and b >= 1 for b in blocks):
             raise ValueError("blocks must be positive integers")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        return super().__new__(cls, blocks)
 
     @property
     def rank(self) -> int:
@@ -49,28 +50,25 @@ class Composition:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PartitionTail:
+class PartitionTail(namedtuple("PartitionTail", "entries r k")):
     """The finite tail of an orbit partition: weakly decreasing, length k.
 
     The context (r, k) fixes the implicit infinite prefix of length r - k.
     """
 
-    entries: tuple
-    r: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.k:
-            raise ValueError(f"expected {self.k} entries, got {len(entries)}")
+    def __new__(cls, entries, r, k):
+        entries = tuple(entries)
+        if len(entries) != k:
+            raise ValueError(f"expected {k} entries, got {len(entries)}")
         if any(not isinstance(e, int) or e < 0 for e in entries):
             raise ValueError("entries must be nonnegative integers")
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
             raise ValueError("entries must be weakly decreasing")
-        if not 1 <= self.k <= self.r:
+        if not 1 <= k <= r:
             raise ValueError("need 1 <= k <= r")
+        return super().__new__(cls, entries, r, k)
 
     def total(self) -> int:
         return sum(self.entries)
@@ -95,6 +93,32 @@ def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
     return result
 
 
+def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
+    """``num`` over the product of q^a - 1 for a in exponents, the inverse of
+    ``q_factor_product``; NotPolynomial if that is not exact. Per factor it is one
+    bottom-up pass Q_e = Q_{e-a} - num_e (a running sum per residue class mod a,
+    over 1 - q^a, the sign restored at the end), whose top a coefficients must vanish."""
+    exponents = list(exponents)
+    for a in exponents:
+        if a == 0:
+            raise DivisionByZero("q^0 - 1 is the zero polynomial")
+        if a < 0:
+            raise ValueError(f"exponents must be positive, got {a}")
+    if num.is_zero():
+        return ZERO
+    coeffs = _dense(num)
+    for a in exponents:
+        for j in range(min(a, len(coeffs))):
+            coeffs[j::a] = itertools.accumulate(coeffs[j::a])
+        top = max(len(coeffs) - a, 0)
+        if any(coeffs[top:]):
+            raise NotPolynomial(f"not divisible by q^{a} - 1")
+        del coeffs[top:]
+    if len(exponents) % 2:
+        coeffs = [-c for c in coeffs]
+    return _from_dense(coeffs).shift(num.order())
+
+
 @lru_cache(maxsize=None)
 def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
@@ -107,12 +131,16 @@ def class_gl(d: int) -> LaurentPoly:
 def gauss_binomial(d: int, k: int) -> LaurentPoly:
     """The Gaussian binomial: class of d-dimensional subspaces of k-space.
 
-    Evaluates prod_{j=1}^{d} (q^{j+k-d} - 1)/(q^j - 1) by exact division.
+    Evaluates prod_{j=1}^{d} (q^{j+k-d} - 1)/(q^j - 1), d = min(d, k - d), one factor
+    at a time: step j leaves [j+k-d choose j], so every division is exact.
     """
     if d < 0 or k < 0 or d > k:
         raise InvalidDimension(f"need 0 <= d <= k, got d={d}, k={k}")
-    num = q_factor_product(range(k - d + 1, k + 1))
-    return num.divide_exact(q_factor_product(range(1, d + 1)))
+    d = min(d, k - d)
+    result = ONE
+    for j in range(1, d + 1):
+        result = q_factor_quotient([j], q_factor_product([j + k - d], result))
+    return result
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,7 @@ censuses of a run rejects infeasible sizes before anything is enumerated.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from operator import add
 from types import MappingProxyType
 
@@ -33,38 +32,38 @@ class UnsupportedPrime(ValueError):
     """The field size is not a prime, or is above the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """The field with p elements, p a small prime."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.p
+    def __new__(cls, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise UnsupportedPrime(f"{p} is not prime")
         if p > PRIME_CAP:
             raise UnsupportedPrime(f"prime {p} above the cap {PRIME_CAP}")
+        return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class RankCensus:
+class RankCensus(namedtuple("RankCensus", "p r s counts")):
     """Counts of r x s matrices over F_p bucketed by exact rank, read-only."""
 
-    p: int
-    r: int
-    s: int
-    counts: MappingProxyType
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-@dataclass
 class InvariantReport:
     """Aggregated pass/fail verdicts from a verification run."""
 
-    checks: list = field(default_factory=list)
+    def __init__(self, checks=None):
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
 
     def record(self, name: str, passed: bool, details: str = "") -> None:
         self.checks.append((name, passed, details))

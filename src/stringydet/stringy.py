@@ -20,11 +20,11 @@ in T, and direct sums over partitions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, ONE, ZERO, q_pow
+from .exactalg import LaurentPoly, ONE, ZERO
 from .groth import (
     PartitionTail,
     class_flag_quotient,
@@ -33,6 +33,7 @@ from .groth import (
     gauss_binomial,
     partition_tails,
     q_factor_product,
+    q_factor_quotient,
 )
 
 
@@ -44,24 +45,21 @@ class NegativeExponent(ValueError):
     """A Hodge table was requested for a non-polynomial."""
 
 
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(namedtuple("HodgeTable", "diag off_diagonal_zero", defaults=(True,))):
     """Diagonal stringy Hodge numbers h^{p,p} read off a polynomial.
 
     Off-diagonal entries vanish because every class in play is a polynomial
     in q = uv; the flag records that assertion explicitly.
     """
 
-    diag: dict
-    off_diagonal_zero: bool = True
+    __slots__ = ()
 
     @property
     def non_negative(self) -> bool:
         return all(v >= 0 for v in self.diag.values())
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(namedtuple("ResolutionData", "strata discrepancies")):
     """Log-resolution input for the divisorial stringy E-function formula.
 
     ``strata`` pairs the E-polynomial of each locally closed stratum with
@@ -69,28 +67,24 @@ class ResolutionData:
     log discrepancies a_i, all required positive.
     """
 
-    strata: tuple
-    discrepancies: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "strata",
-                           tuple((p, frozenset(idx)) for p, idx in self.strata))
-        object.__setattr__(self, "discrepancies", tuple(self.discrepancies))
-        if any(a <= 0 for a in self.discrepancies):
+    def __new__(cls, strata, discrepancies):
+        strata = tuple((p, frozenset(idx)) for p, idx in strata)
+        discrepancies = tuple(discrepancies)
+        if any(a <= 0 for a in discrepancies):
             raise InvalidInput("log discrepancies must be positive")
-        n = len(self.discrepancies)
-        for _, idx in self.strata:
+        n = len(discrepancies)
+        for _, idx in strata:
             if any(not 0 <= i < n for i in idx):
                 raise InvalidInput("stratum refers to an unknown divisor index")
+        return super().__new__(cls, strata, discrepancies)
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
+class ZetaSeries(namedtuple("ZetaSeries", "r coefficients truncation_order")):
     """Truncated motivic zeta series: coefficient of T^n for 0 <= n <= order."""
 
-    r: int
-    coefficients: dict
-    truncation_order: int
+    __slots__ = ()
 
     def coefficient(self, n: int) -> LaurentPoly:
         if not 0 <= n <= self.truncation_order:
@@ -121,7 +115,7 @@ def _step_class(d: int, b: int) -> LaurentPoly:
 
 
 def _orbit_chain_sum(r: int, k: int):
-    """Numerator and common denominator of the orbit subset sum.
+    """Numerator and common denominator exponents of the orbit subset sum.
 
     The sum over subsets I of {r-k+1, ..., r-1} of
 
@@ -145,7 +139,7 @@ def _orbit_chain_sum(r: int, k: int):
         for a in range(start, b):
             total = total + q_factor_product(skipped(a, b), paths[a] * _step_class(b - a, b))
         paths[b] = total
-    return paths[r], q_factor_product(skipped(start, r + 1))
+    return paths[r], skipped(start, r + 1)
 
 
 @lru_cache(maxsize=None)
@@ -158,8 +152,8 @@ def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
     of the stringy E-function are multiples of this one value.
     """
     _check_rk(r, k)
-    num, den = _orbit_chain_sum(r, k)
-    return num.divide_exact(den)
+    num, den_exponents = _orbit_chain_sum(r, k)
+    return q_factor_quotient(den_exponents, num)
 
 
 @lru_cache(maxsize=None)
@@ -175,15 +169,13 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
     if k == 0:
         return ONE
 
-    def tail_factor(m: int) -> LaurentPoly:
-        # (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
-        num = q_factor_product([*range(m + 1, r + 1)] * 2).shift((r - m) * (r - m - 1) // 2)
-        return num.divide_exact(q_factor_product(range(1, r - m + 1)))
-
     total = ZERO
     for m in range(r - k, r):
-        total = total + grassmannian_recursive(m, k + m - r) * tail_factor(m)
-    return total.divide_exact(q_pow(k * r) - 1)
+        # times (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
+        term = q_factor_product([*range(m + 1, r + 1)] * 2, grassmannian_recursive(m, k + m - r))
+        term = q_factor_quotient(range(1, r - m + 1), term)
+        total = total + term.shift((r - m) * (r - m - 1) // 2)
+    return q_factor_quotient([k * r], total)
 
 
 # -- stringy E-functions ----------------------------------------------------
@@ -199,15 +191,16 @@ def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
     return grassmannian_subset_sum(r, k).shift(k * r)
 
 
-def _ladder(n: int) -> LaurentPoly:
-    """1 + q + ... + q^{n-1} = (q^n - 1)/(q - 1), the class of P^{n-1}."""
-    return LaurentPoly({i: 1 for i in range(n)})
+def _ladder(n: int, p: LaurentPoly) -> LaurentPoly:
+    """(1 + q + ... + q^{n-1}) p, [P^{n-1}] times p: (q^n - 1) p over q - 1, which is
+    a running sum of the coefficients, O(deg p + n)."""
+    return q_factor_quotient([1], q_factor_product([n], p))
 
 
 def stringy_e_projective(r: int, k: int) -> LaurentPoly:
-    """Closed form: (1 + q + ... + q^{kr-1}) * [G(k, r)], no division."""
+    """Closed form: (1 + q + ... + q^{kr-1}) * [G(k, r)]."""
     _check_rk(r, k, k_min=1)
-    return _ladder(k * r) * gauss_binomial(k, r)
+    return _ladder(k * r, gauss_binomial(k, r))
 
 
 def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
@@ -219,7 +212,7 @@ def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
     subset sum.
     """
     _check_rk(r, k, k_min=1)
-    return _ladder(k * r) * grassmannian_subset_sum(r, k)
+    return _ladder(k * r, grassmannian_subset_sum(r, k))
 
 
 # -- Hodge and Euler numbers -------------------------------------------------
@@ -254,7 +247,7 @@ def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
     for e_poly, idx in data.strata:
         total = total + q_factor_product(
             (1 if i in idx else a for i, a in enumerate(data.discrepancies)), e_poly)
-    return total.divide_exact(q_factor_product(data.discrepancies))
+    return q_factor_quotient(data.discrepancies, total)
 
 
 def rank_one_resolution_data(r: int) -> ResolutionData:
@@ -267,9 +260,9 @@ def rank_one_resolution_data(r: int) -> ResolutionData:
     """
     if r < 2:
         raise InvalidInput("need r >= 2 for a singular rank-1 locus")
-    ladder = _ladder(r)
-    off_divisor = (q_pow(r) - 1) * ladder  # E(D^1) - 1
-    exceptional = ladder * ladder
+    ladder = _ladder(r, ONE)
+    off_divisor = q_factor_product([r], ladder)  # E(D^1) - 1
+    exceptional = _ladder(r, ladder)
     return ResolutionData(strata=((off_divisor, frozenset()),
                                   (exceptional, frozenset({0}))),
                           discrepancies=(r,))

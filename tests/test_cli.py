@@ -64,8 +64,9 @@ class TestCompute:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        for variety in ("affine", "projective"):
-            record = compute_record(4, 2, variety)
+        for r, k, variety in [(4, 2, "affine"), (4, 2, "projective"), (2, 1, "affine"),
+                              (1, 0, "affine")]:
+            record = compute_record(r, k, variety)
             again = OutputRecord.from_json(record.to_json())
             assert again == record
 
@@ -93,6 +94,84 @@ class TestJsonRoundTrip:
             strings = [c for pairs in payload["coefficients"].values() for _, c in pairs]
         assert strings
         assert all(re.fullmatch(r"-?\d+", c) for c in strings), strings
+
+
+    def test_compute_json_is_pinned(self, capsys):
+        code, out, _ = run("compute --r 2 --k 1 --format json".split(), capsys)
+        assert code == EXIT_OK
+        assert out == COMPUTE_2_1_JSON
+
+    def test_zeta_json_is_pinned(self, capsys):
+        code, out, _ = run("zeta --r 1 --order 1 --format json".split(), capsys)
+        assert code == EXIT_OK
+        assert out == ZETA_1_1_JSON
+
+
+COMPUTE_2_1_JSON = """\
+{
+  "checks": [
+    [
+      "closed_equals_orbit_sum",
+      true,
+      "exact polynomial comparison of the two routes"
+    ]
+  ],
+  "discrepancies": [
+    [
+      0,
+      2
+    ]
+  ],
+  "eulerNumber": "2",
+  "hodgeDiagonal": {
+    "2": 1,
+    "3": 1
+  },
+  "k": 1,
+  "nonNegative": true,
+  "r": 2,
+  "stringyE": [
+    [
+      2,
+      "1"
+    ],
+    [
+      3,
+      "1"
+    ]
+  ],
+  "variety": "affine"
+}
+"""
+
+ZETA_1_1_JSON = """\
+{
+  "r": 1,
+  "order": 1,
+  "coefficients": {
+    "0": [
+      [
+        0,
+        "-1"
+      ],
+      [
+        1,
+        "1"
+      ]
+    ],
+    "1": [
+      [
+        -1,
+        "-1"
+      ],
+      [
+        0,
+        "1"
+      ]
+    ]
+  }
+}
+"""
 
 
 class TestVerify:
@@ -211,10 +290,22 @@ class TestTable:
         assert len(lines) == 1 + 3  # (2,1), (3,1), (3,2)
 
     def test_empty_grid(self, capsys):
-        code, out, _ = run(["table", "--rmax", "1", "--format", "csv"], capsys)
+        # a grid with no row is a usage error in every format, as for verify and oracle
+        for rmax, fmt in [("1", "csv"), ("1", "json"), ("0", "latex"), ("-3", "csv")]:
+            code, out, err = run(["table", "--rmax", rmax, "--format", fmt], capsys)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.splitlines() == [f"error: no row to tabulate: --rmax {rmax}"]
+
+    def test_json_has_one_row_per_line(self, capsys):
+        code, out, _ = run("table --rmax 6 --variety both --format json".split(), capsys)
         assert code == EXIT_OK
-        assert out.strip().splitlines() == [
-            "r,k,variety,dim,degree,euler,nonneg,coefficients"]
+        rows = table_rows(6, ["affine", "projective"])
+        lines = out.splitlines()
+        assert lines[0] == "[" and lines[-1] == "]"
+        assert len(lines) == len(rows) + 2 == 32
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == rows
+        assert json.loads(out) == json.loads(json.dumps(rows, indent=2))
 
     def test_euler_column_4_2(self):
         rows = {(row["r"], row["k"], row["variety"]): row
@@ -258,6 +349,19 @@ class TestZetaAndOracle:
                             "--budget", "1000"], capsys)
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        "oracle --p 2 --rmax 3 --budget -1",
+        "verify --suite oracle --rmax 3 --budget -1",
+        "verify --suite all --rmax 5 --budget -5",
+        "verify --suite identities --rmax 3 --budget -1",
+    ], ids=["oracle", "verify_oracle", "verify_all", "verify_identities"])
+    def test_negative_budget_is_a_usage_error(self, argv, capsys):
+        code, out, err = run(argv.split(), capsys)
+        budget = argv.split()[-1]
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [f"error: --budget must be nonnegative, got {budget}"]
 
     def test_budget_gates_the_whole_run(self, capsys):
         # the censuses up to 4 x 4 fit 10^8 one by one; their sum with the

@@ -2,10 +2,12 @@
 import itertools
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from stringydet.exactalg import ONE, LaurentPoly, q_pow
+from stringydet.exactalg import DivisionByZero, NotPolynomial, ONE, ZERO, LaurentPoly, q_pow
 from stringydet.groth import (
     Composition,
     InvalidDimension,
@@ -20,6 +22,7 @@ from stringydet.groth import (
     gauss_binomial,
     partition_tails,
     q_factor_product,
+    q_factor_quotient,
     rank_identity_check,
     rank_stratum_class,
 )
@@ -39,6 +42,58 @@ def gauss_binomial_partition_sum(d: int, k: int) -> LaurentPoly:
         e = sum(lam)
         terms[e] = terms.get(e, 0) + 1
     return LaurentPoly(terms)
+
+
+def gauss_binomial_long_division(d: int, k: int) -> LaurentPoly:
+    """The product formula with one dense long division, the other reference."""
+    num = q_factor_product(range(k - d + 1, k + 1))
+    return num.divide_exact(q_factor_product(range(1, d + 1)))
+
+
+coefficients = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                         st.fractions(max_denominator=30))
+laurent_polys = st.dictionaries(st.integers(-9, 12), coefficients, max_size=8).map(LaurentPoly)
+factor_exponents = st.lists(st.integers(1, 7), max_size=5)  # repeats included
+
+
+class TestQFactorQuotient:
+    @given(laurent_polys, factor_exponents)
+    def test_undoes_the_product(self, base, exponents):
+        num = q_factor_product(exponents, base)
+        quotient = q_factor_quotient(exponents, num)
+        assert quotient == num.divide_exact(q_factor_product(exponents))
+        assert quotient == base
+
+    @given(laurent_polys, factor_exponents)
+    def test_agrees_with_divide_exact_on_any_input(self, num, exponents):
+        try:
+            want = num.divide_exact(q_factor_product(exponents))
+        except NotPolynomial:
+            with pytest.raises(NotPolynomial):
+                q_factor_quotient(exponents, num)
+        else:
+            assert q_factor_quotient(exponents, num) == want
+
+    def test_non_divisible_input_raises(self):
+        for exponents, num in [([2], Q), ([1], Q + 1), ([3], ONE), ([1, 1], Q - 1),
+                               ([2, 3], q_factor_product([2, 2]))]:
+            with pytest.raises(NotPolynomial):
+                q_factor_quotient(exponents, num)
+
+    def test_zero_exponent_is_division_by_zero(self):
+        for exponents, num in [([0], ONE), ([0], ZERO), ([2, 0], q_factor_product([2]))]:
+            with pytest.raises(DivisionByZero):
+                q_factor_quotient(exponents, num)
+
+    def test_negative_exponent_is_rejected(self):
+        # q^{-1} - 1 = -q^{-1}(q - 1) would divide, but the exponents must be positive
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            q_factor_quotient([-1], Q - 1)
+
+    def test_int_inputs_stay_int(self):
+        quotient = q_factor_quotient([1, 2], q_factor_product([1, 2, 5]))
+        assert quotient == q_factor_product([5])
+        assert all(type(c) is int for c in quotient.terms.values())
 
 
 class TestQFactorProduct:
@@ -88,9 +143,19 @@ class TestGaussBinomial:
         assert gauss_binomial(2, 3) == LaurentPoly({0: 1, 1: 1, 2: 1})
 
     def test_methods_agree(self):
-        for k in range(13):
+        for k in range(15):
             for d in range(k + 1):
-                assert gauss_binomial(d, k) == gauss_binomial_partition_sum(d, k)
+                g = gauss_binomial(d, k)
+                assert g == gauss_binomial_partition_sum(d, k), (d, k)
+                assert g == gauss_binomial_long_division(d, k), (d, k)
+
+    def test_large_cases(self):
+        assert gauss_binomial(1, 300) == LaurentPoly({i: 1 for i in range(300)})
+        assert gauss_binomial(1, 300) == gauss_binomial_long_division(1, 300)
+        assert gauss_binomial(1, 300) == gauss_binomial_partition_sum(1, 300)
+        g = gauss_binomial(20, 40)
+        assert g == gauss_binomial_long_division(20, 40)
+        assert g.evaluate(1) == comb(40, 20)
 
     def test_symmetry(self):
         for k in range(13):

@@ -4,10 +4,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
-from stringydet.groth import PartitionTail, class_flag_quotient, class_gl, gauss_binomial
+from stringydet.groth import (PartitionTail, class_flag_quotient, class_gl, gauss_binomial,
+                             q_factor_product)
 from stringydet.stringy import (
+    _ladder,
     _orbit_chain_sum,
     HodgeTable,
     InvalidInput,
@@ -32,7 +35,7 @@ from stringydet.stringy import (
     zeta_coefficient_direct,
 )
 
-from test_groth import gauss_binomial_partition_sum
+from test_groth import gauss_binomial_partition_sum, laurent_polys
 
 Q = q_pow(1)
 
@@ -132,10 +135,15 @@ class TestChainSum:
     def test_matches_subset_enumeration(self):
         for r in range(2, 8):
             for k in range(1, r):
-                assert _orbit_chain_sum(r, k) == subset_sum_numerator(r, k), (r, k)
+                num, den = _orbit_chain_sum(r, k)
+                assert (num, q_factor_product(den)) == subset_sum_numerator(r, k), (r, k)
 
 
 class TestProjective:
+    @given(st.integers(0, 40), laurent_polys)
+    def test_ladder_matches_the_dense_product(self, n, p):
+        assert _ladder(n, p) == LaurentPoly({i: 1 for i in range(n)}) * p
+
     def test_product_of_lines(self):
         assert stringy_e_projective(2, 1) == LaurentPoly({0: 1, 1: 2, 2: 1})
         assert stringy_e_projective_from_orbits(2, 1) == LaurentPoly({0: 1, 1: 2, 2: 1})
