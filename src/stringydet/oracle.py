@@ -2,14 +2,16 @@
 
 Every class polynomial, specialized at q = p, must equal an exhaustive
 count over the p-element field: invertible matrices, subspaces, rank
-strata, all from one depth-first rank census for every prime. Enumeration
-is deterministic, so any failure is reproducible; a budget guard over all
-censuses of a run rejects infeasible sizes before anything is enumerated.
+strata, all from one rank census for every prime. The census counts row
+classes memoised on (rows left, span), never matrices one by one, and no
+class formula enters it. Enumeration is deterministic, so any failure is
+reproducible; a budget guard over all censuses of a run rejects infeasible
+sizes before anything is enumerated.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from operator import add
 from types import MappingProxyType
 
@@ -79,10 +81,17 @@ def _check_budget(candidates: int, budget: int) -> None:
 
 
 _census_cache: dict = {}
+_row_counts: dict = {}       # (p, s) -> number of rows of F_p^s, counted
+_class_memo: dict = {}       # (p, span) -> ((grown span, rows that grow it), ...)
+_completion_memo: dict = {}  # (p, s, rows left, span) -> ways, by rank gained
 
 
 def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCensus:
-    """Exhaustive rank histogram of all p^{rs} matrices, shared by every caller."""
+    """Rank histogram of all p^{rs} matrices, shared by every caller.
+
+    Counts row classes memoised on (rows left, span), not matrices one by one.
+    Every count is the size of an enumerated set; nothing from ``groth`` enters.
+    """
     PrimeField(p)
     if r < 0 or s < 0:
         raise InvalidRank(f"need r >= 0 and s >= 0, got r={r}, s={s}")
@@ -90,50 +99,57 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
     cached = _census_cache.get((p, r, s))
     if cached is not None:
         return cached
-    tally = _tally_ranks(p, r, s)
+    tally = _completions(p, s, r, frozenset({(0,) * s}))
     counts = MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)})
     census = RankCensus(p=p, r=r, s=s, counts=counts)
     _census_cache[(p, r, s)] = census
     return census
 
 
-def _tally_ranks(p: int, r: int, s: int) -> Counter:
-    """Tally the ranks of all r x s matrices over F_p, rows chosen depth-first.
+def _completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:
+    """Ways to append ``rows_left`` rows of F_p^s to rows spanning ``span``, by rank gained.
 
-    A row raises the rank exactly when it lies outside the span of the rows
-    above it. That span is kept as a set of vectors, shared by every matrix
-    with the same prefix and by every row that generates it. The last row
-    is only tested for membership, and each test is counted.
+    A row raises the rank exactly when it lies outside the span. The rows
+    outside are counted in classes by the span they generate, except the last
+    row. Neither r nor the rows above matter, so every census of p, s shares it.
     """
-    tally = Counter()
-    mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
-
-    def descend(depth: int, span: set, rank: int) -> None:
-        rows = itertools.product(range(p), repeat=s)
-        if depth == r - 1:
-            hits = Counter(map(span.__contains__, rows))
-            tally[rank] += hits[True]
-            tally[rank + 1] += hits[False]
-            return
-        larger = {}  # row outside the span -> the span it generates with it
-        for row in rows:
-            if row in span:
-                descend(depth + 1, span, rank)
-                continue
-            grown = larger.get(row)
-            if grown is None:
-                grown, coset = set(span), span
-                for _ in range(p - 1):
-                    coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
-                    grown |= coset
-                larger.update(dict.fromkeys(grown - span, grown))
-            descend(depth + 1, grown, rank + 1)
-
-    if r == 0:
-        tally[0] = 1
+    ways = _completion_memo.get((p, s, rows_left, span))
+    if ways is not None:
+        return ways
+    if rows_left == 0:
+        ways = (1,)
+    elif rows_left == 1:
+        rows = _row_counts.get((p, s))
+        if rows is None:  # counted, not stored: for r = 1, p^s may reach the budget
+            rows = _row_counts[(p, s)] = sum(1 for _ in itertools.product(range(p), repeat=s))
+        ways = (len(span), rows - len(span))
     else:
-        descend(0, {(0,) * s}, 0)
-    return tally
+        tally = [len(span) * n for n in _completions(p, s, rows_left - 1, span)] + [0]
+        for grown, size in _classes_outside(p, s, span):
+            for gained, n in enumerate(_completions(p, s, rows_left - 1, grown), 1):
+                tally[gained] += size * n
+        ways = tuple(tally)
+    _completion_memo[p, s, rows_left, span] = ways
+    return ways
+
+
+def _classes_outside(p: int, s: int, span: frozenset) -> tuple:
+    """Rows outside ``span`` grouped by the span each generates with it."""
+    classes = _class_memo.get((p, span))
+    if classes is None:
+        mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
+        covered, classes = set(span), []
+        for row in itertools.product(range(p), repeat=s):
+            if row in covered:
+                continue
+            grown, coset = set(span), span
+            for _ in range(p - 1):
+                coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
+                grown |= coset
+            covered |= grown
+            classes.append((frozenset(grown), len(grown) - len(span)))
+        classes = _class_memo[(p, span)] = tuple(classes)
+    return classes
 
 
 def count_invertible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -21,7 +21,6 @@ in T, and direct sums over partitions.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import LaurentPoly, ONE, ZERO

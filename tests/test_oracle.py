@@ -1,6 +1,7 @@
 """Tests for the finite-field brute-force oracle."""
 import itertools
 from collections import Counter
+from operator import add
 
 import pytest
 
@@ -41,6 +42,64 @@ def rank_of_matrix(p: int, entries) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def _tally_ranks(p: int, r: int, s: int) -> Counter:
+    """Tally the ranks of all r x s matrices over F_p, rows chosen depth-first.
+
+    A row raises the rank exactly when it lies outside the span of the rows
+    above it. That span is kept as a set of vectors, shared by every matrix
+    with the same prefix and by every row that generates it. The last row
+    is only tested for membership, and each test is counted.
+    """
+    tally = Counter()
+    mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
+
+    def descend(depth: int, span: set, rank: int) -> None:
+        rows = itertools.product(range(p), repeat=s)
+        if depth == r - 1:
+            hits = Counter(map(span.__contains__, rows))
+            tally[rank] += hits[True]
+            tally[rank + 1] += hits[False]
+            return
+        larger = {}  # row outside the span -> the span it generates with it
+        for row in rows:
+            if row in span:
+                descend(depth + 1, span, rank)
+                continue
+            grown = larger.get(row)
+            if grown is None:
+                grown, coset = set(span), span
+                for _ in range(p - 1):
+                    coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
+                    grown |= coset
+                larger.update(dict.fromkeys(grown - span, grown))
+            descend(depth + 1, grown, rank + 1)
+
+    if r == 0:
+        tally[0] = 1
+    else:
+        descend(0, {(0,) * s}, 0)
+    return tally
+
+
+def _clear_census_caches():
+    for memo in (oracle._census_cache, oracle._row_counts, oracle._class_memo,
+                 oracle._completion_memo):
+        memo.clear()
+
+
+class _Lookups(dict):
+    """A memo that records every key it answers."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.hits = set()
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits.add(key)
+        return super().get(key, default)
 
 
 class TestPrimeField:
@@ -95,9 +154,12 @@ class TestCensus:
             assert rank_census(p, r, s).total() == p ** (r * s)
 
     def test_transpose_symmetry(self):
-        a = rank_census(2, 2, 3)
-        b = rank_census(2, 3, 2)
-        assert a.counts == {j: b.counts.get(j, 0) for j in a.counts}
+        # r x s and s x r walk different span lattices, so their agreement
+        # is an independent check
+        for p, r, s in ((2, 2, 3), (2, 4, 5), (3, 3, 4)):
+            a = rank_census(p, r, s)
+            b = rank_census(p, s, r)
+            assert a.counts == {j: b.counts.get(j, 0) for j in a.counts}, (p, r, s)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -136,6 +198,43 @@ class TestCensus:
             assert counts == {j: reference[j] for j in counts}, (r, s)
             assert sum(counts.values()) == p ** (r * s), (r, s)
 
+    @pytest.mark.parametrize("p,r,s", [(2, 4, 5), (2, 5, 4), (3, 3, 4), (5, 2, 4), (7, 2, 3)])
+    def test_matches_depth_first_walk(self, p, r, s):
+        # shapes beyond the elimination grid, against the walk that visits
+        # every prefix of rows
+        census = rank_census(p, r, s)
+        reference = _tally_ranks(p, r, s)
+        assert census.counts == {j: reference[j] for j in census.counts}
+        assert sum(reference.values()) == census.total() == p ** (r * s)
+
+    def test_warm_memos_match_cold(self):
+        _clear_census_caches()
+        rank_census(2, 4, 4)
+        entries = len(oracle._completion_memo)
+        warm = rank_census(2, 3, 4)
+        assert len(oracle._completion_memo) == entries  # a lookup, nothing new
+        with pytest.raises(TypeError):
+            warm.counts[3] = 0
+        _clear_census_caches()
+        cold = rank_census(2, 3, 4)
+        assert warm == cold
+        assert dict(warm.counts) == {0: 1, 1: 105, 2: 1470, 3: 2520}
+
+    def test_memos_are_keyed_by_prime_and_width(self, monkeypatch):
+        _clear_census_caches()
+        rank_census(2, 4, 4)
+        completions = dict(oracle._completion_memo)
+        classes = dict(oracle._class_memo)
+        assert {key[:2] for key in completions} == {(2, 4)}
+        for name in ("_completion_memo", "_class_memo"):
+            monkeypatch.setattr(oracle, name, _Lookups(getattr(oracle, name)))
+        for p, r, s in ((3, 3, 4), (2, 4, 5), (2, 4, 3), (5, 2, 4)):
+            rank_census(p, r, s)
+        assert not oracle._completion_memo.hits & completions.keys()
+        assert not oracle._class_memo.hits & classes.keys()
+        assert oracle._completion_memo.hits and oracle._class_memo.hits
+        assert all(oracle._completion_memo[key] == ways for key, ways in completions.items())
+
 
 class TestSubspaces:
     def test_2_of_4_mod_2(self):
@@ -156,7 +255,7 @@ class TestSubspaces:
 
 
 class TestVerifyClasses:
-    @pytest.mark.parametrize("p,r_max", [(2, 3), (3, 3), (2, 4), (5, 3)])
+    @pytest.mark.parametrize("p,r_max", [(2, 3), (3, 3), (2, 4), (5, 3), (2, 5), (3, 4), (7, 3)])
     def test_all_pass(self, p, r_max):
         report = verify_classes(p, r_max)
         assert report.passed
