@@ -2,13 +2,9 @@
 
 from .exactalg import LaurentPoly, RationalFn
 from .groth import (
-    Composition,
     PartitionTail,
-    class_flag_quotient,
     class_gl,
     class_independent_tuples,
-    class_levi,
-    composition_of_partition,
     gauss_binomial,
     rank_identity_check,
     rank_stratum_class,
@@ -22,7 +18,6 @@ from .stringy import (
     hodge_table,
     log_discrepancies,
     orbit_measure,
-    rank_one_resolution_check,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
     stringy_e_from_resolution,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import comb
 
 from . import oracle, stringy
@@ -68,21 +67,18 @@ def _poly_pairs(p: LaurentPoly) -> list:
     return [[exp, str(c)] for exp, c in sorted(p.terms.items())]
 
 
-def _render_uv(p: LaurentPoly) -> str:
-    """Render a polynomial in q as a polynomial in the product (uv)."""
-    if p.is_zero():
-        return "0"
+def _render_uv(pairs: list) -> str:
+    """Render the [exponent, "coeff"] pairs of a polynomial in q as a polynomial in (uv)."""
     parts = []
-    for exp in sorted(p.terms):
-        c = p.terms[exp]
-        coeff = "" if c == 1 and exp != 0 else str(c)
+    for exp, c in pairs:
+        coeff = "" if c == "1" else c
         if exp == 0:
-            parts.append(str(c))
+            parts.append(c)
         elif exp == 1:
             parts.append(f"{coeff}(uv)")
         else:
             parts.append(f"{coeff}(uv)^{{{exp}}}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
@@ -248,9 +244,8 @@ def _render_table(rows: list, fmt: str) -> str:
         lines = [r"\begin{tabular}{lllll}",
                  r"$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline"]
         for row in rows:
-            poly = LaurentPoly({e: Fraction(c) for e, c in row["coefficients"]})
             lines.append(f"{row['r']} & {row['k']} & {row['variety']} & "
-                         f"${_render_uv(poly)}$ & {row['euler']} \\\\")
+                         f"${_render_uv(row['coefficients'])}$ & {row['euler']} \\\\")
         lines.append(r"\end{tabular}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

@@ -2,8 +2,7 @@
 
 Everything is a polynomial (or Laurent polynomial) in ``q``, the class of
 the affine line: general linear groups, Grassmannians, tuples of
-independent vectors, flag-variety quotients and Levi factors, and the
-rank stratification of matrix space.
+independent vectors, and the rank stratification of matrix space.
 """
 from __future__ import annotations
 
@@ -19,35 +18,8 @@ class InvalidDimension(ValueError):
     """Subspace dimension exceeds the ambient dimension."""
 
 
-class MalformedCumulativeList(ValueError):
-    """Cumulative index list is not strictly increasing up to the rank."""
-
-
 class InvalidRank(ValueError):
     """Rank outside the range allowed by the matrix shape."""
-
-
-class Composition(namedtuple("Composition", "blocks")):
-    """An ordered tuple of positive block sizes summing to ``rank``."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocks):
-        blocks = tuple(blocks)
-        if not all(isinstance(b, int) and b >= 1 for b in blocks):
-            raise ValueError("blocks must be positive integers")
-        return super().__new__(cls, blocks)
-
-    @property
-    def rank(self) -> int:
-        return sum(self.blocks)
-
-    def cumulative(self, offset: int = 0) -> tuple:
-        """Indices (offset, offset+a_1, offset+a_1+a_2, ...)."""
-        out = [offset]
-        for b in self.blocks:
-            out.append(out[-1] + b)
-        return tuple(out)
 
 
 class PartitionTail(namedtuple("PartitionTail", "entries r k")):
@@ -154,51 +126,6 @@ def class_independent_tuples(d: int, k: int) -> LaurentPoly:
     return result
 
 
-def class_flag_quotient(r: int, cumulative) -> LaurentPoly:
-    """Class of GL_r modulo a block-parabolic: product of Grassmannians.
-
-    ``cumulative`` is the strictly increasing index list i_0 < ... < i_l = r;
-    the result is prod_j [G(i_j - i_{j-1}, i_j)].
-    """
-    cumulative = tuple(cumulative)
-    if len(cumulative) < 1 or cumulative[-1] != r or cumulative[0] < 0:
-        raise MalformedCumulativeList(f"bad cumulative list {cumulative} for r={r}")
-    if any(cumulative[i] >= cumulative[i + 1] for i in range(len(cumulative) - 1)):
-        raise MalformedCumulativeList(f"not strictly increasing: {cumulative}")
-    result = ONE
-    for prev, cur in zip(cumulative, cumulative[1:]):
-        result = result * gauss_binomial(cur - prev, cur)
-    return result
-
-
-def class_levi(blocks: Composition) -> LaurentPoly:
-    """Class of a Levi factor: product of GL classes over the block sizes."""
-    result = ONE
-    for b in blocks.blocks:
-        result = result * class_gl(b)
-    return result
-
-
-def composition_of_partition(tail: PartitionTail):
-    """Block structure of the equal-value runs of a partition tail.
-
-    Returns (Composition, cumulative list) where the cumulative indices are
-    prefixed by the offset r - k coming from the infinite part. A trailing
-    run of zeros forms its own block.
-    """
-    blocks = []
-    run = 1
-    for prev, cur in zip(tail.entries, tail.entries[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            blocks.append(run)
-            run = 1
-    blocks.append(run)
-    comp = Composition(tuple(blocks))
-    return comp, comp.cumulative(offset=tail.r - tail.k)
-
-
 def rank_stratum_class(r: int, s: int, j: int) -> LaurentPoly:
     """Class of r x s matrices of rank exactly j: [G(r-j, r)] * [U(j, s)]."""
     if not 0 <= j <= min(r, s):
@@ -207,10 +134,7 @@ def rank_stratum_class(r: int, s: int, j: int) -> LaurentPoly:
 
 
 def rank_identity_check(r: int, k: int) -> bool:
-    """q^{kr} = 1 + sum_{m=r-k}^{r-1} [G(m, r)] [U(r-m, k)], exactly."""
+    """q^{kr} = sum_{j=0}^{k} [r x k matrices of rank j], exactly."""
     if not 1 <= k <= r:
         raise InvalidRank(f"need 1 <= k <= r, got r={r}, k={k}")
-    total = ONE
-    for m in range(r - k, r):
-        total = total + gauss_binomial(m, r) * class_independent_tuples(r - m, k)
-    return total == q_pow(k * r)
+    return sum(rank_stratum_class(r, k, j) for j in range(k + 1)) == q_pow(k * r)

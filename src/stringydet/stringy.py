@@ -21,14 +21,13 @@ in T, and direct sums over partitions.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO
 from .groth import (
     PartitionTail,
-    class_flag_quotient,
-    class_levi,
-    composition_of_partition,
+    class_gl,
     gauss_binomial,
     partition_tails,
     q_factor_product,
@@ -44,11 +43,11 @@ class NegativeExponent(ValueError):
     """A Hodge table was requested for a non-polynomial."""
 
 
-class HodgeTable(namedtuple("HodgeTable", "diag off_diagonal_zero", defaults=(True,))):
+class HodgeTable(namedtuple("HodgeTable", "diag")):
     """Diagonal stringy Hodge numbers h^{p,p} read off a polynomial.
 
     Off-diagonal entries vanish because every class in play is a polynomial
-    in q = uv; the flag records that assertion explicitly.
+    in q = uv.
     """
 
     __slots__ = ()
@@ -267,29 +266,29 @@ def rank_one_resolution_data(r: int) -> ResolutionData:
                           discrepancies=(r,))
 
 
-def rank_one_resolution_check(r: int) -> bool:
-    """The resolution route agrees with the closed form for k = 1."""
-    via_resolution = stringy_e_from_resolution(rank_one_resolution_data(r))
-    return via_resolution == stringy_e_affine(r, 1)
-
-
 # -- orbit measures and truncated sums ----------------------------------------
 
 def orbit_measure(r: int, k: int, tail: PartitionTail) -> LaurentPoly:
     """Motivic measure of the arc orbit indexed by a partition tail:
 
-    [flag quotient]^2 * [Levi] * q^{-sum (2i-1) lambda_i}.
+    [flag quotient]^2 * [Levi] * q^{-sum (2i-1) lambda_i}, where the class
+    depends on the tail only through the ends r-k < c_1 < ... < c_l = r of
+    its runs of equal entries (a trailing run of zeros is a run).
     """
-    expo = -sum((2 * i - 1) * lam
-                for i, lam in zip(range(r - k + 1, r + 1), tail.entries))
-    return _orbit_class(r, *composition_of_partition(tail)).shift(expo)
+    lam = tail.entries
+    ends = tuple(r - k + j for j in range(1, k + 1) if j == k or lam[j - 1] != lam[j])
+    expo = -sum((2 * i - 1) * e for i, e in zip(range(r - k + 1, r + 1), lam))
+    return _orbit_class(r - k, ends).shift(expo)
 
 
 @lru_cache(maxsize=None)
-def _orbit_class(r: int, comp, cumulative: tuple) -> LaurentPoly:
-    """[flag quotient]^2 * [Levi], shared by every tail with the same block structure."""
-    flag = class_flag_quotient(r, cumulative)
-    return flag * flag * class_levi(comp)
+def _orbit_class(start: int, ends: tuple) -> LaurentPoly:
+    """prod [G(b, c)]^2 [GL_b] over the blocks b = c - c' of the run ends c, c' the
+    previous end (first ``start``): [flag quotient]^2 * [Levi], shared by every tail
+    with these run ends."""
+    blocks = [(c - prev, c) for prev, c in zip((start, *ends), ends)]
+    flag = reduce(mul, (gauss_binomial(b, c) for b, c in blocks))
+    return flag * flag * reduce(mul, (class_gl(b) for b, _ in blocks))
 
 
 def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> LaurentPoly:
@@ -316,7 +315,7 @@ def orbit_tail_degree_bound(r: int, k: int, cap: int) -> int:
     (r - k - 2i + 1) are <= -(r - k + 1), so its term degree is at most the
     class degree minus (r-k+1)(cap+1). For every block structure
     r-k = c_0 < ... < c_l = r with blocks b_j = c_j - c_{j-1}, the class
-    [flag quotient]^2 prod_j [GL_{b_j}] has degree
+    prod_j [G(b_j, c_j)]^2 [GL_{b_j}] has degree
     sum_j (2 b_j (c_j - b_j) + b_j^2) = sum_j (c_j^2 - c_{j-1}^2) = k(2r - k).
     """
     _check_rk(r, k, k_min=1)

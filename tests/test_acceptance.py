@@ -20,9 +20,10 @@ from stringydet.stringy import (
     grassmannian_subset_sum,
     hodge_table,
     orbit_tail_degree_bound,
-    rank_one_resolution_check,
+    rank_one_resolution_data,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
+    stringy_e_from_resolution,
     stringy_e_projective,
     stringy_e_projective_from_orbits,
     stringy_euler,
@@ -104,7 +105,8 @@ def test_criterion_5_rank_identity():
 
 def test_criterion_6_resolution_route():
     for r in range(2, 9):
-        assert rank_one_resolution_check(r), r
+        assert stringy_e_from_resolution(rank_one_resolution_data(r)) \
+            == stringy_e_affine(r, 1), r
     _report(6, "one-blowup resolution data reproduces q^r*[G(1,r)] for 2 <= r <= 8")
 
 

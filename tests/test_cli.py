@@ -18,6 +18,25 @@ from stringydet.cli import (
 from stringydet.exactalg import ONE, q_pow
 
 
+# ``table --rmax 4 --variety both --format latex``, byte for byte.
+LATEX_RMAX_4_BOTH = r"""\begin{tabular}{lllll}
+$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline
+2 & 1 & affine & $(uv)^{2} + (uv)^{3}$ & 2 \\
+2 & 1 & projective & $1 + 2(uv) + (uv)^{2}$ & 4 \\
+3 & 1 & affine & $(uv)^{3} + (uv)^{4} + (uv)^{5}$ & 3 \\
+3 & 1 & projective & $1 + 2(uv) + 3(uv)^{2} + 2(uv)^{3} + (uv)^{4}$ & 9 \\
+3 & 2 & affine & $(uv)^{6} + (uv)^{7} + (uv)^{8}$ & 3 \\
+3 & 2 & projective & $1 + 2(uv) + 3(uv)^{2} + 3(uv)^{3} + 3(uv)^{4} + 3(uv)^{5} + 2(uv)^{6} + (uv)^{7}$ & 18 \\
+4 & 1 & affine & $(uv)^{4} + (uv)^{5} + (uv)^{6} + (uv)^{7}$ & 4 \\
+4 & 1 & projective & $1 + 2(uv) + 3(uv)^{2} + 4(uv)^{3} + 3(uv)^{4} + 2(uv)^{5} + (uv)^{6}$ & 16 \\
+4 & 2 & affine & $(uv)^{8} + (uv)^{9} + 2(uv)^{10} + (uv)^{11} + (uv)^{12}$ & 6 \\
+4 & 2 & projective & $1 + 2(uv) + 4(uv)^{2} + 5(uv)^{3} + 6(uv)^{4} + 6(uv)^{5} + 6(uv)^{6} + 6(uv)^{7} + 5(uv)^{8} + 4(uv)^{9} + 2(uv)^{10} + (uv)^{11}$ & 48 \\
+4 & 3 & affine & $(uv)^{12} + (uv)^{13} + (uv)^{14} + (uv)^{15}$ & 4 \\
+4 & 3 & projective & $1 + 2(uv) + 3(uv)^{2} + 4(uv)^{3} + 4(uv)^{4} + 4(uv)^{5} + 4(uv)^{6} + 4(uv)^{7} + 4(uv)^{8} + 4(uv)^{9} + 4(uv)^{10} + 4(uv)^{11} + 3(uv)^{12} + 2(uv)^{13} + (uv)^{14}$ & 48 \\
+\end{tabular}
+"""
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -318,6 +337,11 @@ class TestTable:
         assert code == EXIT_OK
         assert "(uv)^{3}" in out
         assert "q" not in out.replace("tabular", "").replace("Euler", "")
+
+    def test_latex_rmax_4_both_is_pinned(self, capsys):
+        code, out, err = run("table --rmax 4 --variety both --format latex".split(), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == LATEX_RMAX_4_BOTH
 
     def test_deterministic(self, capsys):
         first = run(["table", "--rmax", "4", "--format", "json"], capsys)

@@ -9,16 +9,11 @@ from hypothesis import given, strategies as st
 
 from stringydet.exactalg import DivisionByZero, NotPolynomial, ONE, ZERO, LaurentPoly, q_pow
 from stringydet.groth import (
-    Composition,
     InvalidDimension,
     InvalidRank,
-    MalformedCumulativeList,
     PartitionTail,
-    class_flag_quotient,
     class_gl,
     class_independent_tuples,
-    class_levi,
-    composition_of_partition,
     gauss_binomial,
     partition_tails,
     q_factor_product,
@@ -27,6 +22,7 @@ from stringydet.groth import (
     rank_stratum_class,
 )
 from stringydet import oracle
+from stringydet.stringy import orbit_measure
 
 Q = q_pow(1)
 
@@ -189,55 +185,70 @@ class TestIndependentTuples:
 
 
 class TestFlagQuotient:
+    # the flag quotient prod_j [G(c_j - c_{j-1}, c_j)] over the run ends c_j, as
+    # orbit_measure builds it
+
     def test_projective_line(self):
-        assert class_flag_quotient(2, (1, 2)) == ONE + Q
+        assert orbit_measure(2, 1, PartitionTail((0,), 2, 1)) == (ONE + Q) ** 2 * class_gl(1)
 
     def test_trivial_quotient(self):
         for r in range(1, 6):
-            assert class_flag_quotient(r, (0, r)) == ONE
+            assert orbit_measure(r, r, PartitionTail((0,) * r, r, r)) == class_gl(r)
 
     def test_full_flag_in_plane(self):
         # complete flags in a plane form a projective line; 3 flags over F_2
-        full = class_flag_quotient(2, (0, 1, 2))
-        assert full == ONE + Q
+        measure = orbit_measure(2, 2, PartitionTail((1, 0), 2, 2)).shift(1)  # weight q^{-1}
+        levi = class_gl(1) ** 2
+        assert measure == (ONE + Q) ** 2 * levi
         nonzero = sum(1 for v in itertools.product(range(2), repeat=2) if v != (0, 0))
-        assert full.evaluate(2) == nonzero // (2 - 1) == 3
-
-    def test_malformed_lists(self):
-        with pytest.raises(MalformedCumulativeList):
-            class_flag_quotient(3, (0, 2))
-        with pytest.raises(MalformedCumulativeList):
-            class_flag_quotient(3, (2, 1, 3))
+        flags = nonzero // (2 - 1)
+        assert flags == 3
+        assert measure.evaluate(2) == flags ** 2 * levi.evaluate(2)
 
 
 class TestLevi:
+    # the Levi factor prod_j [GL_{c_j - c_{j-1}}] over the blocks of the run ends
+
     def test_single_block(self):
-        assert class_levi(Composition((1,))) == Q - 1
+        assert orbit_measure(1, 1, PartitionTail((0,), 1, 1)) == Q - 1
 
     def test_borel_levi(self):
-        assert class_levi(Composition((1, 1))) == (Q - 1) ** 2
+        tail = PartitionTail((1, 0), 2, 2)
+        assert orbit_measure(2, 2, tail) == (ONE + Q) ** 2 * (Q - 1) ** 2 * q_pow(-1)
 
     def test_mixed_blocks_point_count(self):
-        assert class_levi(Composition((2, 1))).evaluate(2) == 6 * 1
+        # blocks (2, 1): [G(1, 3)]^2 [GL_2][GL_1], weight q^{-4}, counted over F_2
+        measure = orbit_measure(3, 3, PartitionTail((1, 1, 0), 3, 3)).shift(4)
+        assert measure.evaluate(2) == oracle.count_subspaces(2, 1, 3) ** 2 \
+            * oracle.count_invertible(2, 2) * oracle.count_invertible(2, 1) == 49 * 6 * 1
+
+
+G = gauss_binomial
 
 
 class TestCompositionOfPartition:
+    # orbit_measure reads the run ends c_1 < ... < c_l = r of a tail, after r - k
+
     def test_repeated_parts(self):
-        comp, cumulative = composition_of_partition(
-            PartitionTail((3, 3, 1, 1, 0), r=5, k=5))
-        assert comp.blocks == (2, 2, 1)
-        assert cumulative == (0, 2, 4, 5)
+        # run ends (2, 4, 5): blocks 2, 2, 1
+        tail = PartitionTail((3, 3, 1, 1, 0), r=5, k=5)
+        assert orbit_measure(5, 5, tail) == (G(2, 2) * G(2, 4) * G(1, 5)) ** 2 \
+            * class_gl(2) ** 2 * class_gl(1) * q_pow(-24)
 
     def test_constant_zero_tail(self):
-        comp, cumulative = composition_of_partition(
-            PartitionTail((0, 0, 0), r=5, k=3))
-        assert comp.blocks == (3,)
-        assert cumulative == (2, 5)
+        # run ends (5,) after 2: one block 3
+        tail = PartitionTail((0, 0, 0), r=5, k=3)
+        assert orbit_measure(5, 3, tail) == G(3, 5) ** 2 * class_gl(3)
 
     def test_run_length_encoding(self):
-        comp, cumulative = composition_of_partition(PartitionTail((2, 1), r=3, k=2))
-        assert comp.blocks == (1, 1)
-        assert cumulative == (1, 2, 3)
+        # run ends (2, 3) after 1: blocks 1, 1
+        tail = PartitionTail((2, 1), r=3, k=2)
+        assert orbit_measure(3, 2, tail) == (G(1, 2) * G(1, 3)) ** 2 \
+            * class_gl(1) ** 2 * q_pow(-11)
+        # run ends (3, 4) after 1: blocks 2, 1
+        tail = PartitionTail((1, 1, 0), r=4, k=3)
+        assert orbit_measure(4, 3, tail) == (G(2, 3) * G(1, 4)) ** 2 \
+            * class_gl(2) * class_gl(1) * q_pow(-8)
 
     def test_tail_validation(self):
         with pytest.raises(ValueError):

@@ -84,8 +84,7 @@ def _tally_ranks(p: int, r: int, s: int) -> Counter:
 
 
 def _clear_census_caches():
-    for memo in (oracle._census_cache, oracle._row_counts, oracle._class_memo,
-                 oracle._completion_memo):
+    for memo in (oracle._row_counts, oracle._class_memo, oracle._completion_memo):
         memo.clear()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from stringydet.cli import OutputRecord
 from stringydet.exactalg import ONE, q_pow
-from stringydet.groth import Composition, PartitionTail
+from stringydet.groth import PartitionTail
 from stringydet.oracle import InvariantReport, PrimeField, RankCensus, UnsupportedPrime
 from stringydet.stringy import HodgeTable, InvalidInput, ResolutionData, ZetaSeries
 
@@ -20,7 +20,6 @@ def frozen_records():
     """Two equal, separately built copies of every frozen record."""
     def build():
         return [
-            Composition([2, 1]),
             PartitionTail([2, 1], r=3, k=2),
             ResolutionData(strata=[(q_pow(2), [0]), (ONE, set())], discrepancies=[2]),
             PrimeField(5),
@@ -56,7 +55,6 @@ class TestFrozenRecords:
                     hash(a)
 
     def test_unequal_fields_compare_unequal(self):
-        assert Composition((1, 2)) != Composition((2, 1))
         assert PartitionTail((1, 0), 3, 2) != PartitionTail((1, 0), 4, 2)
         assert PrimeField(3) != PrimeField(5)
 
@@ -69,24 +67,18 @@ class TestFrozenRecords:
                 a.extra = 1
 
     def test_fields_are_normalised(self):
-        assert Composition([2, 1]).blocks == (2, 1)
         assert PartitionTail([2, 1], 3, 2).entries == (2, 1)
         data = ResolutionData(strata=[(ONE, [0])], discrepancies=[3])
         assert data.strata == ((ONE, frozenset({0})),)
         assert data.discrepancies == (3,)
-        assert HodgeTable({}).off_diagonal_zero is True
 
     def test_methods_and_repr(self):
-        assert Composition((2, 1)).rank == 3
-        assert Composition((2, 1)).cumulative(offset=1) == (1, 3, 4)
         assert PartitionTail((2, 1), 3, 2).total() == 3
         assert RankCensus(2, 1, 1, MappingProxyType({0: 1, 1: 1})).total() == 2
         assert ZetaSeries(1, {}, 2).coefficient(2) == 0
         assert repr(PrimeField(3)) == "PrimeField(p=3)"
-        assert repr(Composition((1,))) == "Composition(blocks=(1,))"
 
     @pytest.mark.parametrize("build,error,message", [
-        (lambda: Composition((1, 0)), ValueError, "blocks must be positive integers"),
         (lambda: PartitionTail((1,), 3, 2), ValueError, "expected 2 entries, got 1"),
         (lambda: PartitionTail((1, -1), 3, 2), ValueError,
          "entries must be nonnegative integers"),
@@ -98,7 +90,7 @@ class TestFrozenRecords:
          "stratum refers to an unknown divisor index"),
         (lambda: PrimeField(9), UnsupportedPrime, "9 is not prime"),
         (lambda: PrimeField(11), UnsupportedPrime, "prime 11 above the cap 7"),
-    ], ids=["composition", "tail_length", "tail_negative", "tail_increasing", "tail_k",
+    ], ids=["tail_length", "tail_negative", "tail_increasing", "tail_k",
             "discrepancy", "divisor_index", "not_prime", "above_cap"])
     def test_validation_errors(self, build, error, message):
         with pytest.raises(error) as info:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
-from stringydet.groth import (PartitionTail, class_flag_quotient, class_gl, gauss_binomial,
+from stringydet.groth import (PartitionTail, class_gl, gauss_binomial, partition_tails,
                              q_factor_product)
 from stringydet.stringy import (
     _ladder,
@@ -22,7 +22,6 @@ from stringydet.stringy import (
     log_discrepancies,
     orbit_measure,
     orbit_tail_degree_bound,
-    rank_one_resolution_check,
     rank_one_resolution_data,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
@@ -175,7 +174,6 @@ class TestHodgeAndEuler:
         table = hodge_table(stringy_e_projective(2, 1))
         assert table.diag == {0: 1, 1: 2, 2: 1}
         assert table.non_negative
-        assert table.off_diagonal_zero
 
     def test_constant(self):
         assert hodge_table(ONE).diag == {0: 1}
@@ -217,10 +215,9 @@ class TestResolutionRoute:
 
     def test_rank_one_general(self):
         for r in range(2, 9):
-            data = rank_one_resolution_data(r)
-            assert stringy_e_from_resolution(data) \
-                == q_pow(r) * gauss_binomial(1, r)
-            assert rank_one_resolution_check(r)
+            via_resolution = stringy_e_from_resolution(rank_one_resolution_data(r))
+            assert via_resolution == q_pow(r) * gauss_binomial(1, r)
+            assert via_resolution == stringy_e_affine(r, 1)
 
     def test_nonpolynomial_surfaces(self):
         data = ResolutionData(strata=((ONE, frozenset({0})),), discrepancies=(3,))
@@ -232,7 +229,35 @@ class TestResolutionRoute:
             ResolutionData(strata=((ONE, frozenset()),), discrepancies=(0,))
 
 
+def block_structure_measure(r, k, tail):
+    """The orbit measure by the block structure of the tail, the oracle of orbit_measure.
+
+    The run lengths of the tail form a composition of k; its cumulative list
+    r-k = c_0 < ... < c_l = r gives [flag quotient] = prod_j [G(c_j - c_{j-1}, c_j)]
+    and [Levi] = prod_j [GL_{c_j - c_{j-1}}], and the measure is
+    [flag quotient]^2 [Levi] q^{-sum (2i-1) lambda_i}.
+    """
+    blocks = [len(list(run)) for _, run in itertools.groupby(tail.entries)]
+    cumulative = list(itertools.accumulate(blocks, initial=r - k))
+    flag = levi = ONE
+    for prev, cur in zip(cumulative, cumulative[1:]):
+        flag = flag * gauss_binomial(cur - prev, cur)
+        levi = levi * class_gl(cur - prev)
+    weight = sum((2 * i - 1) * lam for i, lam in zip(range(r - k + 1, r + 1), tail.entries))
+    return flag * flag * levi * q_pow(-weight)
+
+
 class TestOrbitSums:
+    def test_measure_matches_block_structure(self):
+        cases = 0
+        for r in range(1, 7):
+            for k in range(1, r + 1):
+                for tail in partition_tails(r, k, 3):
+                    assert orbit_measure(r, k, tail) == block_structure_measure(r, k, tail), \
+                        (r, k, tail.entries)
+                    cases += 1
+        assert cases == 455  # sum over k of (7 - k) C(k + 3, 3)
+
     def test_measure_zero_tail_r2(self):
         m = orbit_measure(2, 1, PartitionTail((0,), 2, 1))
         assert m == (ONE + Q) ** 2 * (Q - 1)
@@ -279,7 +304,7 @@ class TestOrbitSums:
                 == {e: c for e, c in target.terms.items() if e > bound}
 
     def test_bound_matches_class_degrees(self):
-        # oracle: the largest degree of [flag quotient]^2 prod [GL_b] over all
+        # oracle: the largest degree of prod [G(b, c)]^2 [GL_b] over all
         # block structures (compositions of k), from the polynomials themselves
         for r in range(2, 9):
             for k in range(1, r):
@@ -287,10 +312,10 @@ class TestOrbitSums:
                 for cuts in itertools.product((False, True), repeat=k - 1):
                     cumulative = [r - k] + [r - k + j + 1 for j, cut in enumerate(cuts)
                                             if cut] + [r]
-                    flag = class_flag_quotient(r, cumulative)
-                    cls = flag * flag
+                    cls = ONE
                     for prev, cur in zip(cumulative, cumulative[1:]):
-                        cls = cls * class_gl(cur - prev)
+                        g = gauss_binomial(cur - prev, cur)
+                        cls = cls * g * g * class_gl(cur - prev)
                     max_class_deg = max(max_class_deg, cls.degree())
                 for cap in range(6):
                     assert orbit_tail_degree_bound(r, k, cap) \
