@@ -2,7 +2,6 @@
 
 from .exactalg import LaurentPoly, RationalFn
 from .groth import (
-    PartitionTail,
     class_gl,
     class_independent_tuples,
     gauss_binomial,
@@ -12,7 +11,6 @@ from .groth import (
 from .stringy import (
     HodgeTable,
     ResolutionData,
-    ZetaSeries,
     grassmannian_recursive,
     grassmannian_subset_sum,
     hodge_table,

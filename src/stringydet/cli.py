@@ -33,36 +33,6 @@ def _routes(variety: str) -> list:
     return [getattr(stringy, name) for name in VARIETIES[variety]]
 
 
-class OutputRecord:
-    """Machine-readable result of one invariant computation.
-
-    Coefficients travel as decimal strings so consumers never need
-    arbitrary-precision integers or floats.
-    """
-
-    def __init__(self, r: int, k: int, variety: str, stringyE=None, hodgeDiagonal=None,
-                 eulerNumber: str = "0", nonNegative: bool = True, discrepancies=None,
-                 checks=None):
-        self.r, self.k, self.variety = r, k, variety
-        self.stringyE = [] if stringyE is None else stringyE  # [[exponent, "coeff"], ...]
-        self.hodgeDiagonal = {} if hodgeDiagonal is None else hodgeDiagonal
-        self.eulerNumber, self.nonNegative = eulerNumber, nonNegative
-        self.discrepancies = [] if discrepancies is None else discrepancies
-        self.checks = [] if checks is None else checks  # [[name, passed, details], ...]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        return cls(**json.loads(text))
-
-
 def _poly_pairs(p: LaurentPoly) -> list:
     return [[exp, str(c)] for exp, c in sorted(p.terms.items())]
 
@@ -91,28 +61,30 @@ def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
                          f"reference {reference.terms.get(e, 0)}"]
 
 
-def compute_record(r: int, k: int, variety: str) -> OutputRecord:
-    """Compute and compare both routes of a variety; the first validates (r, k)."""
+def compute_record(r: int, k: int, variety: str) -> dict:
+    """Compute and compare both routes of a variety; the first validates (r, k).
+    ``compute --format json`` prints the record; coefficients are decimal strings."""
     closed, summed = (route(r, k) for route in _routes(variety))
     table = stringy.hodge_table(closed)
-    return OutputRecord(
-        r, k, variety, stringyE=_poly_pairs(closed),
-        hodgeDiagonal={str(p): v for p, v in table.diag.items()},
-        eulerNumber=str(stringy.stringy_euler(closed)), nonNegative=table.non_negative,
-        discrepancies=[[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
-        checks=[_compare("closed_equals_orbit_sum", summed, closed,
-                         "exact polynomial comparison of the two routes")])
+    return {
+        "r": r, "k": k, "variety": variety, "stringyE": _poly_pairs(closed),
+        "hodgeDiagonal": {str(p): v for p, v in table.diag.items()},
+        "eulerNumber": str(stringy.stringy_euler(closed)), "nonNegative": table.non_negative,
+        "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
+        "checks": [_compare("closed_equals_orbit_sum", summed, closed,
+                            "exact polynomial comparison of the two routes")],
+    }
 
 
-def _record_text(record: OutputRecord) -> str:
-    poly = " + ".join(f"{c}*q^{e}" for e, c in record.stringyE)
+def _record_text(record: dict) -> str:
+    poly = " + ".join(f"{c}*q^{e}" for e, c in record["stringyE"])
     lines = [
-        f"r={record.r} k={record.k} variety={record.variety}",
+        f"r={record['r']} k={record['k']} variety={record['variety']}",
         f"stringy E = {poly}",
-        f"euler = {record.eulerNumber}  nonnegative = {record.nonNegative}",
-        f"discrepancies = {record.discrepancies}",
+        f"euler = {record['eulerNumber']}  nonnegative = {record['nonNegative']}",
+        f"discrepancies = {record['discrepancies']}",
     ]
-    for name, ok, _ in record.checks:
+    for name, ok, _ in record["checks"]:
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
     return "\n".join(lines)
 
@@ -174,8 +146,7 @@ def suite_zeta(rmax: int, order: int) -> list:
     checks = []
     for r in range(1, _clamp("zeta", rmax, 3) + 1):
         series = stringy.zeta_closed_expansion(r, order)
-        ok = all(series.coefficient(n) == stringy.zeta_coefficient_direct(r, n)
-                 for n in range(order + 1))
+        ok = all(c == stringy.zeta_coefficient_direct(r, n) for n, c in enumerate(series))
         checks.append((f"zeta_consistency(r={r},order={order})", ok, ""))
     return checks
 
@@ -306,12 +277,13 @@ def main(argv=None) -> int:
             raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
         if args.command == "compute":
             record = compute_record(args.r, args.k, args.variety)
-            print(record.to_json() if args.format == "json" else _record_text(record))
-            return EXIT_OK if all(ok for _, ok, _ in record.checks) else EXIT_FAIL
+            print(json.dumps(record, indent=2, sort_keys=True) if args.format == "json"
+                  else _record_text(record))
+            return EXIT_OK if all(ok for _, ok, _ in record["checks"]) else EXIT_FAIL
 
         if args.command == "verify":
             if args.suite in ("oracle", "all"):
-                oracle.PrimeField(args.p)
+                oracle.check_prime(args.p)
             checks = []
             if args.suite in ("identities", "all"):
                 checks += suite_identities(args.rmax)
@@ -336,20 +308,20 @@ def main(argv=None) -> int:
         if args.command == "zeta":
             series = stringy.zeta_closed_expansion(args.r, args.order)
             if args.format == "json":
-                payload = {str(n): _poly_pairs(series.coefficient(n))
-                           for n in range(args.order + 1)}
+                payload = {str(n): _poly_pairs(c) for n, c in enumerate(series)}
                 print(json.dumps({"r": args.r, "order": args.order,
                                   "coefficients": payload}, indent=2))
             else:
-                for n in range(args.order + 1):
-                    print(f"T^{n}: {series.coefficient(n)}")
+                for n, c in enumerate(series):
+                    print(f"T^{n}: {c}")
             return EXIT_OK
 
         if args.command == "oracle":
-            oracle.PrimeField(args.p)
+            oracle.check_prime(args.p)
             if args.rmax < 1:
                 raise InvalidInput(f"no check to run: --rmax {args.rmax}")
-            print(f"estimated candidates: {oracle.census_candidates(args.p, args.rmax)}")
+            print("estimated candidates: "
+                  f"{oracle.census_candidates(args.p, args.rmax, args.budget)}")
             report = oracle.verify_classes(args.p, args.rmax, args.budget)
             return EXIT_OK if _print_checks(report.checks) else EXIT_FAIL
 

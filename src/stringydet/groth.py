@@ -7,7 +7,6 @@ independent vectors, and the rank stratification of matrix space.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 from .exactalg import (DivisionByZero, LaurentPoly, NotPolynomial, ONE, ZERO, _dense,
@@ -22,39 +21,16 @@ class InvalidRank(ValueError):
     """Rank outside the range allowed by the matrix shape."""
 
 
-class PartitionTail(namedtuple("PartitionTail", "entries r k")):
-    """The finite tail of an orbit partition: weakly decreasing, length k.
-
-    The context (r, k) fixes the implicit infinite prefix of length r - k.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, entries, r, k):
-        entries = tuple(entries)
-        if len(entries) != k:
-            raise ValueError(f"expected {k} entries, got {len(entries)}")
-        if any(not isinstance(e, int) or e < 0 for e in entries):
-            raise ValueError("entries must be nonnegative integers")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise ValueError("entries must be weakly decreasing")
-        if not 1 <= k <= r:
-            raise ValueError("need 1 <= k <= r")
-        return super().__new__(cls, entries, r, k)
-
-    def total(self) -> int:
-        return sum(self.entries)
-
-
-def partition_tails(r: int, k: int, cap: int, last_zero: bool = False):
-    """All PartitionTails in context (r, k) with entries <= cap.
+def partition_tails(k: int, cap: int, last_zero: bool = False):
+    """All weakly decreasing k-tuples of entries in 0..cap, the finite tails of
+    the orbit partitions of rank bound k.
 
     With ``last_zero`` only tails whose final entry is 0 are produced.
     """
     last_range = 1 if last_zero else cap + 1
     for rest in itertools.combinations_with_replacement(range(cap + 1), k - 1):
         for last in range(min(last_range, rest[0] + 1 if rest else last_range)):
-            yield PartitionTail(tuple(reversed(rest)) + (last,), r, k)
+            yield tuple(reversed(rest)) + (last,)
 
 
 def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:

@@ -34,19 +34,6 @@ class UnsupportedPrime(ValueError):
     """The field size is not a prime, or is above the enumeration cap."""
 
 
-class PrimeField(namedtuple("PrimeField", "p")):
-    """The field with p elements, p a small prime."""
-
-    __slots__ = ()
-
-    def __new__(cls, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise UnsupportedPrime(f"{p} is not prime")
-        if p > PRIME_CAP:
-            raise UnsupportedPrime(f"prime {p} above the cap {PRIME_CAP}")
-        return super().__new__(cls, p)
-
-
 class RankCensus(namedtuple("RankCensus", "p r s counts")):
     """Counts of r x s matrices over F_p bucketed by exact rank, read-only."""
 
@@ -75,6 +62,23 @@ class InvariantReport:
         return all(ok for _, ok, _ in self.checks)
 
 
+def check_prime(p: int) -> None:
+    """UnsupportedPrime unless p is a prime up to ``PRIME_CAP``; the cap comes
+    first, so a huge p is refused before any division."""
+    if p > PRIME_CAP:
+        raise UnsupportedPrime(f"{p} is above the cap {PRIME_CAP}")
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise UnsupportedPrime(f"{p} is not prime")
+
+
+def _check_exponent(p: int, r: int, s: int, budget: int) -> None:
+    """BudgetExceeded, before any power is taken, if the r x s census alone is over
+    the budget by its exponent: p^n >= 2^(n (bits of p - 1)) for n = rs."""
+    if r * s * (p.bit_length() - 1) >= budget.bit_length():
+        raise BudgetExceeded(f"the {r} x {s} census alone has {p}^{r * s} candidates, "
+                             f"above the budget {budget}")
+
+
 def _check_budget(candidates: int, budget: int) -> None:
     if candidates > budget:
         raise BudgetExceeded(f"{candidates} candidates exceed the budget {budget}")
@@ -92,9 +96,10 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
     so a repeated census is one memo lookup after its budget check.
     Every count is the size of an enumerated set; nothing from ``groth`` enters.
     """
-    PrimeField(p)
+    check_prime(p)
     if r < 0 or s < 0:
         raise InvalidRank(f"need r >= 0 and s >= 0, got r={r}, s={s}")
+    _check_exponent(p, r, s, budget)
     _check_budget(p ** (r * s), budget)
     tally = _completions(p, s, r, frozenset({(0,) * s}))
     return RankCensus(p=p, r=r, s=s,
@@ -149,8 +154,7 @@ def _classes_outside(p: int, s: int, span: frozenset) -> tuple:
 
 def count_invertible(p: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of invertible d x d matrices over F_p, by enumeration."""
-    census = rank_census(p, d, d, budget)
-    return census.counts[d]
+    return rank_census(p, d, d, budget).counts[d]
 
 
 def count_subspaces(p: int, d: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -160,7 +164,7 @@ def count_subspaces(p: int, d: int, n: int, budget: int = DEFAULT_BUDGET) -> int
     number of invertible d x d matrices (bases per subspace), both counted
     exhaustively.
     """
-    PrimeField(p)
+    check_prime(p)
     if d < 0 or n < 0:
         raise InvalidRank(f"need d >= 0 and n >= 0, got d={d}, n={n}")
     if d == 0:
@@ -175,8 +179,12 @@ def count_subspaces(p: int, d: int, n: int, budget: int = DEFAULT_BUDGET) -> int
     return bases // changes
 
 
-def census_candidates(p: int, r_max: int) -> int:
-    """Matrices enumerated by ``verify_classes(p, r_max)``: all r x s, 1 <= r <= s <= r_max."""
+def census_candidates(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Matrices enumerated by ``verify_classes(p, r_max)``: all r x s, 1 <= r <= s <= r_max.
+    BudgetExceeded, before any power is summed, if the r_max x r_max census alone
+    is over the budget by its exponent."""
+    if r_max > 0:
+        _check_exponent(p, r_max, r_max, budget)
     return sum(p ** (r * s) for r in range(1, r_max + 1) for s in range(r, r_max + 1))
 
 
@@ -189,8 +197,8 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     rank identity. Every comparison is recorded, disagreements included;
     the budget is checked against all censuses before any is enumerated.
     """
-    PrimeField(p)
-    _check_budget(census_candidates(p, r_max), budget)
+    check_prime(p)
+    _check_budget(census_candidates(p, r_max, budget), budget)
     report = InvariantReport()
 
     def check(name: str, expected, actual) -> None:

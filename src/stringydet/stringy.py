@@ -21,18 +21,12 @@ in T, and direct sums over partitions.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO
-from .groth import (
-    PartitionTail,
-    class_gl,
-    gauss_binomial,
-    partition_tails,
-    q_factor_product,
-    q_factor_quotient,
-)
+from .groth import class_gl, gauss_binomial, partition_tails, q_factor_product, q_factor_quotient
 
 
 class InvalidInput(ValueError):
@@ -77,17 +71,6 @@ class ResolutionData(namedtuple("ResolutionData", "strata discrepancies")):
             if any(not 0 <= i < n for i in idx):
                 raise InvalidInput("stratum refers to an unknown divisor index")
         return super().__new__(cls, strata, discrepancies)
-
-
-class ZetaSeries(namedtuple("ZetaSeries", "r coefficients truncation_order")):
-    """Truncated motivic zeta series: coefficient of T^n for 0 <= n <= order."""
-
-    __slots__ = ()
-
-    def coefficient(self, n: int) -> LaurentPoly:
-        if not 0 <= n <= self.truncation_order:
-            raise InvalidInput(f"coefficient {n} beyond truncation order")
-        return self.coefficients.get(n, ZERO)
 
 
 def _check_rk(r: int, k: int, k_min: int = 0) -> None:
@@ -268,16 +251,24 @@ def rank_one_resolution_data(r: int) -> ResolutionData:
 
 # -- orbit measures and truncated sums ----------------------------------------
 
-def orbit_measure(r: int, k: int, tail: PartitionTail) -> LaurentPoly:
-    """Motivic measure of the arc orbit indexed by a partition tail:
+def orbit_measure(r: int, k: int, tail: tuple) -> LaurentPoly:
+    """Motivic measure of the arc orbit indexed by a partition tail, k weakly
+    decreasing nonnegative ints lambda_{r-k+1} >= ... >= lambda_r:
 
     [flag quotient]^2 * [Levi] * q^{-sum (2i-1) lambda_i}, where the class
     depends on the tail only through the ends r-k < c_1 < ... < c_l = r of
     its runs of equal entries (a trailing run of zeros is a run).
     """
-    lam = tail.entries
-    ends = tuple(r - k + j for j in range(1, k + 1) if j == k or lam[j - 1] != lam[j])
-    expo = -sum((2 * i - 1) * e for i, e in zip(range(r - k + 1, r + 1), lam))
+    if len(tail) != k:
+        raise InvalidInput(f"expected {k} entries, got {len(tail)}")
+    if any(not isinstance(e, int) or e < 0 for e in tail):
+        raise InvalidInput("entries must be nonnegative integers")
+    if any(tail[i] < tail[i + 1] for i in range(k - 1)):
+        raise InvalidInput("entries must be weakly decreasing")
+    if not 1 <= k <= r:
+        raise InvalidInput("need 1 <= k <= r")
+    ends = tuple(r - k + j for j in range(1, k + 1) if j == k or tail[j - 1] != tail[j])
+    expo = -sum((2 * i - 1) * e for i, e in zip(range(r - k + 1, r + 1), tail))
     return _orbit_class(r - k, ends).shift(expo)
 
 
@@ -303,8 +294,8 @@ def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> La
     if variant not in ("affine", "projective"):
         raise InvalidInput(f"unknown variant {variant!r}")
     total = ZERO
-    for tail in partition_tails(r, k, cap, last_zero=(variant == "projective")):
-        total = total + orbit_measure(r, k, tail).shift((r - k) * tail.total())
+    for tail in partition_tails(k, cap, last_zero=(variant == "projective")):
+        total = total + orbit_measure(r, k, tail).shift((r - k) * sum(tail))
     return total
 
 
@@ -334,14 +325,15 @@ def zeta_coefficient_direct(r: int, n: int) -> LaurentPoly:
     if r < 1 or n < 0:
         raise InvalidInput("need r >= 1 and n >= 0")
     total = ZERO
-    for tail in partition_tails(r, r, n):
-        if tail.total() == n:
+    for tail in partition_tails(r, n):
+        if sum(tail) == n:
             total = total + orbit_measure(r, r, tail)
     return total
 
 
-def zeta_closed_expansion(r: int, order: int) -> ZetaSeries:
-    """Expand the closed subset-sum form of the zeta function to T^order.
+def zeta_closed_expansion(r: int, order: int) -> tuple:
+    """Expand the closed subset-sum form of the zeta function to T^order: the
+    coefficients of T^0, ..., T^order.
 
     Z(T) = q^{r^2} T^{-r} sum over chains 0 = s_0 < ... < s_m = r of
     prod over steps a -> b of [GL_d][G(d, b)]^2 / (q^{b^2} T^{-b} - 1),
@@ -368,5 +360,4 @@ def zeta_closed_expansion(r: int, order: int) -> ZetaSeries:
                 t_new = t + b * j
                 arrived[t_new] = arrived.get(t_new, ZERO) + c.shift(-b * b * j)
         paths[b] = arrived
-    coeffs = {n: paths[r].get(n + r, ZERO).shift(r * r) for n in range(order + 1)}
-    return ZetaSeries(r=r, coefficients=coeffs, truncation_order=order)
+    return tuple(paths[r].get(n + r, ZERO).shift(r * r) for n in range(order + 1))

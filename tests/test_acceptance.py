@@ -128,8 +128,9 @@ def test_criterion_7_orbit_convergence():
 def test_criterion_8_zeta_consistency():
     for r in (1, 2, 3):
         series = zeta_closed_expansion(r, 6)
-        for n in range(7):
-            assert series.coefficient(n) == zeta_coefficient_direct(r, n), (r, n)
+        for n, coefficient in enumerate(series):
+            assert coefficient == zeta_coefficient_direct(r, n), (r, n)
+        assert len(series) == 7
     _report(8, "closed zeta expansion matches direct partition sums, "
                "r in {1,2,3}, order 6")
 

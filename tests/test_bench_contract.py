@@ -1,8 +1,11 @@
-"""The benchmark's tracer still runs against the package.
+"""The benchmark's tracer and layer probes still run against the package.
 
 ``bench/tracer.py`` wraps package names from outside and ``bench/layers.py``
-probes ``exactalg.laurent_gcd``; a deletion in ``src/`` that breaks either
-would only show as missing per-layer numbers, so it is checked here.
+probes single layers; a deletion in ``src/`` that breaks either would only
+show as missing per-layer numbers, so it is checked here. Each probe below
+reads one name from the package: ``RankCensus.counts`` (census),
+``gauss_binomial.cache_clear`` (cold-build), ``grassmannian_subset_sum``
+(subset-sum) and ``InvariantReport.checks`` (the traced oracle suite).
 """
 import json
 import os
@@ -10,20 +13,37 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from stringydet import exactalg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def bench_json(script: str, *argv: str) -> dict:
+    """Run a bench script in a fresh process; its last stdout line is a JSON object."""
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / script), *argv],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_tracer_replays_a_compute():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "tracer.py"),
-         "compute", "--r", "3", "--k", "2", "--format", "json"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = bench_json("tracer.py", "compute", "--r", "3", "--k", "2", "--format", "json")
     assert result["exit"] == 0
+
+
+def test_tracer_counts_the_oracle_checks():
+    result = bench_json("tracer.py", "verify", "--suite", "oracle", "--rmax", "2")
+    assert result["exit"] == 0
+    assert result["verify_checks"] > 0
+
+
+@pytest.mark.parametrize("argv", [("census", "2", "2", "3"), ("subset-sum", "6", "3"),
+                                  ("cold-build",)], ids=["census", "subset_sum", "cold_build"])
+def test_layer_probe_runs(argv):
+    assert bench_json("layers.py", *argv)["seconds"] >= 0
 
 
 def test_layer_probes_find_the_gcd():

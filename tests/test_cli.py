@@ -10,7 +10,6 @@ from stringydet.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
-    OutputRecord,
     compute_record,
     main,
     table_rows,
@@ -82,16 +81,18 @@ class TestCompute:
 
 
 class TestJsonRoundTrip:
-    def test_round_trip(self):
+    def test_round_trip(self, capsys):
+        # the printed JSON reads back as the record it was written from
         for r, k, variety in [(4, 2, "affine"), (4, 2, "projective"), (2, 1, "affine"),
                               (1, 0, "affine")]:
-            record = compute_record(r, k, variety)
-            again = OutputRecord.from_json(record.to_json())
-            assert again == record
+            code, out, _ = run(["compute", "--r", str(r), "--k", str(k),
+                                "--variety", variety, "--format", "json"], capsys)
+            assert code == EXIT_OK
+            assert json.loads(out) == compute_record(r, k, variety)
 
     def test_coefficients_are_strings(self):
         record = compute_record(3, 1, "projective")
-        assert all(isinstance(c, str) for _, c in record.stringyE)
+        assert all(isinstance(c, str) for _, c in record["stringyE"])
 
     @pytest.mark.parametrize("argv", [
         "compute --r 7 --k 6 --variety affine --format json",
@@ -275,7 +276,7 @@ class TestVerify:
         code, out, err = run(["verify", "--suite", "oracle", "--p", "11"], capsys)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.splitlines() == ["error: prime 11 above the cap 7"]
+        assert err.splitlines() == ["error: 11 is above the cap 7"]
 
 
 class TestEmptyGrid:
@@ -395,6 +396,28 @@ class TestZetaAndOracle:
         assert code == EXIT_BUDGET
         assert out == "estimated candidates: 850833407379\n"
         assert err == "error: 850833407379 candidates exceed the budget 100000000\n"
+
+    @pytest.mark.parametrize("argv", [
+        "oracle --p 2305843009213693951 --rmax 2",
+        "verify --suite oracle --p 2305843009213693951 --rmax 2",
+        f"oracle --p {10 ** 400} --rmax 2",
+        f"verify --suite oracle --p {10 ** 400} --rmax 2",
+    ], ids=["oracle_mersenne", "verify_mersenne", "oracle_huge", "verify_huge"])
+    def test_huge_prime_is_refused_by_the_cap(self, argv, capsys):
+        # the cap comes before any trial division or square root of p
+        code, out, err = run(argv.split(), capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == [f"error: {argv.split()[-3]} is above the cap 7"]
+
+    @pytest.mark.parametrize("rmax", [300, 3000])
+    def test_huge_rmax_is_over_budget_by_its_exponent(self, rmax, capsys):
+        # p^(rmax^2) is not summed, let alone printed, before the budget refuses it
+        code, out, err = run(["oracle", "--p", "2", "--rmax", str(rmax)], capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.splitlines() == [f"error: the {rmax} x {rmax} census alone has "
+                                    f"2^{rmax * rmax} candidates, above the budget 200000000"]
 
     def test_wrong_class_fails_and_lists_every_check(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "class_gl",

@@ -11,7 +11,6 @@ from stringydet.exactalg import DivisionByZero, NotPolynomial, ONE, ZERO, Lauren
 from stringydet.groth import (
     InvalidDimension,
     InvalidRank,
-    PartitionTail,
     class_gl,
     class_independent_tuples,
     gauss_binomial,
@@ -22,7 +21,7 @@ from stringydet.groth import (
     rank_stratum_class,
 )
 from stringydet import oracle
-from stringydet.stringy import orbit_measure
+from stringydet.stringy import InvalidInput, orbit_measure
 
 Q = q_pow(1)
 
@@ -189,15 +188,15 @@ class TestFlagQuotient:
     # orbit_measure builds it
 
     def test_projective_line(self):
-        assert orbit_measure(2, 1, PartitionTail((0,), 2, 1)) == (ONE + Q) ** 2 * class_gl(1)
+        assert orbit_measure(2, 1, (0,)) == (ONE + Q) ** 2 * class_gl(1)
 
     def test_trivial_quotient(self):
         for r in range(1, 6):
-            assert orbit_measure(r, r, PartitionTail((0,) * r, r, r)) == class_gl(r)
+            assert orbit_measure(r, r, (0,) * r) == class_gl(r)
 
     def test_full_flag_in_plane(self):
         # complete flags in a plane form a projective line; 3 flags over F_2
-        measure = orbit_measure(2, 2, PartitionTail((1, 0), 2, 2)).shift(1)  # weight q^{-1}
+        measure = orbit_measure(2, 2, (1, 0)).shift(1)  # weight q^{-1}
         levi = class_gl(1) ** 2
         assert measure == (ONE + Q) ** 2 * levi
         nonzero = sum(1 for v in itertools.product(range(2), repeat=2) if v != (0, 0))
@@ -210,15 +209,15 @@ class TestLevi:
     # the Levi factor prod_j [GL_{c_j - c_{j-1}}] over the blocks of the run ends
 
     def test_single_block(self):
-        assert orbit_measure(1, 1, PartitionTail((0,), 1, 1)) == Q - 1
+        assert orbit_measure(1, 1, (0,)) == Q - 1
 
     def test_borel_levi(self):
-        tail = PartitionTail((1, 0), 2, 2)
+        tail = (1, 0)
         assert orbit_measure(2, 2, tail) == (ONE + Q) ** 2 * (Q - 1) ** 2 * q_pow(-1)
 
     def test_mixed_blocks_point_count(self):
         # blocks (2, 1): [G(1, 3)]^2 [GL_2][GL_1], weight q^{-4}, counted over F_2
-        measure = orbit_measure(3, 3, PartitionTail((1, 1, 0), 3, 3)).shift(4)
+        measure = orbit_measure(3, 3, (1, 1, 0)).shift(4)
         assert measure.evaluate(2) == oracle.count_subspaces(2, 1, 3) ** 2 \
             * oracle.count_invertible(2, 2) * oracle.count_invertible(2, 1) == 49 * 6 * 1
 
@@ -231,30 +230,38 @@ class TestCompositionOfPartition:
 
     def test_repeated_parts(self):
         # run ends (2, 4, 5): blocks 2, 2, 1
-        tail = PartitionTail((3, 3, 1, 1, 0), r=5, k=5)
+        tail = (3, 3, 1, 1, 0)
         assert orbit_measure(5, 5, tail) == (G(2, 2) * G(2, 4) * G(1, 5)) ** 2 \
             * class_gl(2) ** 2 * class_gl(1) * q_pow(-24)
 
     def test_constant_zero_tail(self):
         # run ends (5,) after 2: one block 3
-        tail = PartitionTail((0, 0, 0), r=5, k=3)
+        tail = (0, 0, 0)
         assert orbit_measure(5, 3, tail) == G(3, 5) ** 2 * class_gl(3)
 
     def test_run_length_encoding(self):
         # run ends (2, 3) after 1: blocks 1, 1
-        tail = PartitionTail((2, 1), r=3, k=2)
+        tail = (2, 1)
         assert orbit_measure(3, 2, tail) == (G(1, 2) * G(1, 3)) ** 2 \
             * class_gl(1) ** 2 * q_pow(-11)
         # run ends (3, 4) after 1: blocks 2, 1
-        tail = PartitionTail((1, 1, 0), r=4, k=3)
+        tail = (1, 1, 0)
         assert orbit_measure(4, 3, tail) == (G(2, 3) * G(1, 4)) ** 2 \
             * class_gl(2) * class_gl(1) * q_pow(-8)
 
     def test_tail_validation(self):
-        with pytest.raises(ValueError):
-            PartitionTail((1, 2), r=3, k=2)  # increasing
-        with pytest.raises(ValueError):
-            PartitionTail((1,), r=3, k=2)  # wrong length
+        with pytest.raises(InvalidInput, match="weakly decreasing"):
+            orbit_measure(3, 2, (1, 2))
+        with pytest.raises(InvalidInput, match="expected 2 entries, got 1"):
+            orbit_measure(3, 2, (1,))
+
+    def test_tail_must_fit_its_own_rank_bound(self):
+        # a tail of length 3 indexes no orbit of rank bound 2, and a short tail
+        # is refused before any entry is read
+        with pytest.raises(InvalidInput, match="expected 2 entries, got 3"):
+            orbit_measure(4, 2, (1, 0, 0))
+        with pytest.raises(InvalidInput, match="expected 3 entries, got 2"):
+            orbit_measure(5, 3, (2, 1))
 
 
 class TestRankStrata:
@@ -294,8 +301,7 @@ class TestRankIdentity:
 
 
 def test_partition_tail_enumeration():
-    tails = list(partition_tails(3, 2, 2))
-    entries = sorted(t.entries for t in tails)
-    assert entries == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-    pinned = list(partition_tails(3, 2, 2, last_zero=True))
-    assert sorted(t.entries for t in pinned) == [(0, 0), (1, 0), (2, 0)]
+    tails = list(partition_tails(2, 2))
+    assert sorted(tails) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    pinned = list(partition_tails(2, 2, last_zero=True))
+    assert sorted(pinned) == [(0, 0), (1, 0), (2, 0)]

@@ -11,8 +11,9 @@ from stringydet.groth import InvalidRank, class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
     MismatchFound,
-    PrimeField,
+    UnsupportedPrime,
     census_candidates,
+    check_prime,
     count_subspaces,
     rank_census,
     verify_classes,
@@ -102,18 +103,20 @@ class _Lookups(dict):
 
 
 class TestPrimeField:
+    # the fields the oracle enumerates: F_p for a prime p up to the cap
     def test_accepts_small_primes(self):
         for p in (2, 3, 5, 7):
-            PrimeField(p)
+            check_prime(p)
 
     def test_rejects_composites(self):
-        for n in (1, 4, 6):
-            with pytest.raises(ValueError):
-                PrimeField(n)
+        for n in (-3, 0, 1, 4, 6):
+            with pytest.raises(UnsupportedPrime, match=f"^{n} is not prime$"):
+                check_prime(n)
 
     def test_rejects_above_cap(self):
-        with pytest.raises(ValueError):
-            PrimeField(11)
+        for n in (8, 9, 11, 2 ** 61 - 1, 10 ** 400):
+            with pytest.raises(UnsupportedPrime, match=f"^{n} is above the cap 7$"):
+                check_prime(n)
 
 
 class TestRank:
@@ -163,6 +166,16 @@ class TestCensus:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             rank_census(2, 5, 6)
+
+    @pytest.mark.parametrize("p,r,s", [(2, 200, 200), (7, 2000, 2000), (3, 0, 4)])
+    def test_budget_decided_by_exponent(self, p, r, s):
+        # p^(rs) has too many digits to print, or costs seconds to compute; the
+        # bit length of the budget refuses it first (and 3^0 = 1 > budget 0)
+        budget = 0 if r == 0 else 10 ** 8
+        with pytest.raises(BudgetExceeded, match=f"^the {r} x {s} census alone has "
+                                                 f"{p}\\^{r * s} candidates, above the "
+                                                 f"budget {budget}$"):
+            rank_census(p, r, s, budget)
 
     def test_negative_dimension_rejected(self):
         # a budget of 0 shows the shape is checked before the budget
@@ -279,6 +292,16 @@ class TestVerifyClasses:
         with pytest.raises(BudgetExceeded, match=str(total)):
             verify_classes(2, 3, budget=total - 1)
         assert verify_classes(2, 3, budget=total).passed
+
+    def test_huge_run_is_refused_before_any_sum(self):
+        # summing p^(rs) over 1 <= r <= s <= 3000 would take minutes
+        with pytest.raises(BudgetExceeded, match=r"^the 3000 x 3000 census alone has "
+                                                 r"5\^9000000 candidates"):
+            census_candidates(5, 3000)
+        with pytest.raises(BudgetExceeded, match="the 300 x 300 census alone"):
+            verify_classes(2, 300)
+        # the exponent bound is sharp enough to leave the exact sum in charge here
+        assert census_candidates(3, 5, budget=10 ** 8) == 850833407379
 
     def test_point_identity_escalation(self):
         # a degree-D univariate identity checked at D+1 points is exact:
