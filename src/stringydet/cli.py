@@ -2,19 +2,18 @@
 
 Exit statuses: 0 success, 1 verification failure, 2 usage error (a bad
 argument, or a grid that holds no check), 3 enumeration budget exceeded.
+
+A command loads only the layers it runs: ``stringy`` for the routes, ``oracle``
+for the counts over F_p and ``json`` for JSON output are imported where used.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import comb
 
-from . import oracle, stringy
 from .exactalg import LaurentPoly
-from .groth import gauss_binomial, rank_identity_check
-from .oracle import BudgetExceeded, DEFAULT_BUDGET
-from .stringy import InvalidInput
+from .groth import InvalidInput, gauss_binomial, rank_identity_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -30,6 +29,7 @@ VARIETIES = {
 
 
 def _routes(variety: str) -> list:
+    from . import stringy
     return [getattr(stringy, name) for name in VARIETIES[variety]]
 
 
@@ -64,6 +64,7 @@ def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
 def compute_record(r: int, k: int, variety: str) -> dict:
     """Compute and compare both routes of a variety; the first validates (r, k).
     ``compute --format json`` prints the record; coefficients are decimal strings."""
+    from . import stringy
     closed, summed = (route(r, k) for route in _routes(variety))
     table = stringy.hodge_table(closed)
     return {
@@ -93,6 +94,7 @@ def _record_text(record: dict) -> str:
 
 def suite_identities(rmax: int) -> list:
     """The identity checks; each (r, k) computes its two closed forms once."""
+    from . import stringy
     checks = []
     for r in range(2, rmax + 1):
         closed = {}
@@ -121,6 +123,7 @@ def suite_identities(rmax: int) -> list:
 
 
 def suite_orbits(rmax: int) -> list:
+    from . import stringy
     checks = []
     rmax = _clamp("orbits", rmax, 4)
     pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
@@ -143,6 +146,7 @@ def suite_orbits(rmax: int) -> list:
 
 
 def suite_zeta(rmax: int, order: int) -> list:
+    from . import stringy
     checks = []
     for r in range(1, _clamp("zeta", rmax, 3) + 1):
         series = stringy.zeta_closed_expansion(r, order)
@@ -152,6 +156,7 @@ def suite_zeta(rmax: int, order: int) -> list:
 
 
 def suite_oracle(p: int, rmax: int, budget: int) -> list:
+    from . import oracle
     try:
         report = oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget)
     except oracle.MismatchFound as exc:
@@ -180,6 +185,7 @@ def _print_checks(checks: list) -> bool:
 # -- table rendering ----------------------------------------------------------
 
 def table_rows(rmax: int, varieties) -> list:
+    from . import stringy
     rows = []
     for r in range(2, rmax + 1):
         for k in range(1, r):
@@ -202,6 +208,7 @@ def table_rows(rmax: int, varieties) -> list:
 
 def _render_table(rows: list, fmt: str) -> str:
     if fmt == "json":
+        import json
         # one compact row object per line: without indent, json takes its C encoder
         return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
     if fmt == "csv":
@@ -244,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rmax", type=int, default=5)
     p_verify.add_argument("--p", type=int, default=2)
     p_verify.add_argument("--order", type=int, default=4)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=int)
 
     p_table = sub.add_parser("table", help="tabulate invariants up to rmax")
     p_table.add_argument("--rmax", type=int, required=True)
@@ -260,9 +267,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="finite-field point-count certification")
     p_oracle.add_argument("--p", type=int, required=True)
     p_oracle.add_argument("--rmax", type=int, required=True)
-    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_oracle.add_argument("--budget", type=int)
 
     return parser
+
+
+def _oracle_error(name: str) -> tuple:
+    """The oracle's exception class ``name``, or none if no command loaded the
+    oracle: only a loaded oracle raises it."""
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return (getattr(oracle, name),) if oracle else ()
 
 
 def main(argv=None) -> int:
@@ -273,17 +287,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command in ("verify", "oracle") and args.budget < 0:
-            raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
+        if args.command in ("verify", "oracle"):
+            if args.budget is not None and args.budget < 0:
+                raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
+            if args.command == "oracle" or args.suite in ("oracle", "all"):
+                from . import oracle
+                oracle.check_prime(args.p)
+                if args.budget is None:
+                    args.budget = oracle.DEFAULT_BUDGET
         if args.command == "compute":
             record = compute_record(args.r, args.k, args.variety)
-            print(json.dumps(record, indent=2, sort_keys=True) if args.format == "json"
-                  else _record_text(record))
+            if args.format == "json":
+                import json
+                print(json.dumps(record, indent=2, sort_keys=True))
+            else:
+                print(_record_text(record))
             return EXIT_OK if all(ok for _, ok, _ in record["checks"]) else EXIT_FAIL
 
         if args.command == "verify":
-            if args.suite in ("oracle", "all"):
-                oracle.check_prime(args.p)
             checks = []
             if args.suite in ("identities", "all"):
                 checks += suite_identities(args.rmax)
@@ -306,8 +327,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "zeta":
+            from . import stringy
             series = stringy.zeta_closed_expansion(args.r, args.order)
             if args.format == "json":
+                import json
                 payload = {str(n): _poly_pairs(c) for n, c in enumerate(series)}
                 print(json.dumps({"r": args.r, "order": args.order,
                                   "coefficients": payload}, indent=2))
@@ -317,7 +340,6 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "oracle":
-            oracle.check_prime(args.p)
             if args.rmax < 1:
                 raise InvalidInput(f"no check to run: --rmax {args.rmax}")
             print("estimated candidates: "
@@ -325,13 +347,13 @@ def main(argv=None) -> int:
             report = oracle.verify_classes(args.p, args.rmax, args.budget)
             return EXIT_OK if _print_checks(report.checks) else EXIT_FAIL
 
-    except (InvalidInput, oracle.UnsupportedPrime) as exc:
+    except (InvalidInput, *_oracle_error("UnsupportedPrime")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
+    except _oracle_error("BudgetExceeded") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except oracle.MismatchFound as exc:
+    except _oracle_error("MismatchFound") as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

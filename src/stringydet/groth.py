@@ -13,6 +13,10 @@ from .exactalg import (DivisionByZero, LaurentPoly, NotPolynomial, ONE, ZERO, _d
                        _from_dense, q_pow)
 
 
+class InvalidInput(ValueError):
+    """Parameters outside the supported range of a route or a command."""
+
+
 class InvalidDimension(ValueError):
     """Subspace dimension exceeds the ambient dimension."""
 

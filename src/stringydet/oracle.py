@@ -34,7 +34,7 @@ class UnsupportedPrime(ValueError):
     """The field size is not a prime, or is above the enumeration cap."""
 
 
-class RankCensus(namedtuple("RankCensus", "p r s counts")):
+class RankCensus(namedtuple("RankCensus", "counts")):
     """Counts of r x s matrices over F_p bucketed by exact rank, read-only."""
 
     __slots__ = ()
@@ -102,8 +102,7 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
     _check_exponent(p, r, s, budget)
     _check_budget(p ** (r * s), budget)
     tally = _completions(p, s, r, frozenset({(0,) * s}))
-    return RankCensus(p=p, r=r, s=s,
-                      counts=MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)}))
+    return RankCensus(MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)}))
 
 
 def _completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:

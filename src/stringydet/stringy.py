@@ -26,11 +26,8 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO
-from .groth import class_gl, gauss_binomial, partition_tails, q_factor_product, q_factor_quotient
-
-
-class InvalidInput(ValueError):
-    """Parameters outside the supported (r, k) range."""
+from .groth import (InvalidInput, class_gl, gauss_binomial, partition_tails, q_factor_product,
+                    q_factor_quotient)
 
 
 class NegativeExponent(ValueError):

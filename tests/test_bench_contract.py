@@ -6,6 +6,11 @@ show as missing per-layer numbers, so it is checked here. Each probe below
 reads one name from the package: ``RankCensus.counts`` (census),
 ``gauss_binomial.cache_clear`` (cold-build), ``grassmannian_subset_sum``
 (subset-sum) and ``InvariantReport.checks`` (the traced oracle suite).
+
+Every operation of ``bench/run.py`` also runs here in a fresh process, as the
+benchmark runs it, and ``bench/checks.py`` checks its output; so does
+``bench/selftest.py``. In this process every module is loaded already, so a
+command that lost an import it needs fails only there.
 """
 import json
 import os
@@ -19,6 +24,12 @@ from stringydet import exactalg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+sys.path.insert(0, str(ROOT / "bench"))
+import checks
+import run
+
+OPERATIONS = {f"{name}:{' '.join(op)}": op for name, ops in run.WORKLOADS.items() for op in ops}
 
 
 def bench_json(script: str, *argv: str) -> dict:
@@ -48,3 +59,16 @@ def test_layer_probe_runs(argv):
 
 def test_layer_probes_find_the_gcd():
     assert callable(exactalg.laurent_gcd)
+
+
+@pytest.mark.parametrize("op", list(OPERATIONS.values()), ids=list(OPERATIONS))
+def test_benchmark_operation_runs_cold(op):
+    proc = subprocess.run([sys.executable, "-m", "stringydet.cli", *op], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    checks.check(op, proc.returncode, proc.stdout)
+
+
+def test_checker_selftest_passes():
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")], cwd=ROOT,
+                          env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout

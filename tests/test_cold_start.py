@@ -1,0 +1,92 @@
+"""A command loads only the layers it runs, checked in fresh processes.
+
+In-process tests have every module loaded already, so a command that lost an
+import it needs, or kept one it does not, only shows in a cold interpreter.
+``-S`` leaves out ``site``, whose imports would hide the program's own.
+"""
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from stringydet import groth, stringy
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+# Runs ``stringy-det argv``; the last line on stderr is the exit status and every
+# module loaded.
+PROBE = ("import sys\n"
+         "from stringydet.cli import main\n"
+         "status = main(sys.argv[1:])\n"
+         "print(status, *sorted(sys.modules), file=sys.stderr)")
+
+STRINGY_COMMANDS = [
+    "compute --r 3 --k 2", "compute --r 3 --k 2 --variety projective --format json",
+    "zeta --r 3", "zeta --r 3 --format json",
+    "table --rmax 3", "table --rmax 3 --variety both --format json",
+    "verify --suite identities --rmax 3", "verify --suite orbits --rmax 3",
+    "verify --suite zeta --rmax 3",
+]
+ORACLE_COMMANDS = ["oracle --p 2 --rmax 2", "verify --suite oracle --p 3 --rmax 2"]
+
+
+def cold(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-S", "-m", "stringydet.cli", *argv], cwd=ROOT,
+                          env=ENV, capture_output=True, text=True, timeout=60)
+
+
+def loaded(argv: str) -> set:
+    """Modules loaded by a successful ``stringy-det argv`` in a fresh process."""
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv.split()], cwd=ROOT,
+                          env=ENV, capture_output=True, text=True, timeout=60)
+    status, *modules = proc.stderr.splitlines()[-1].split()
+    assert status == "0", proc.stderr
+    return set(modules)
+
+
+def test_package_root_loads_no_submodule():
+    code = "import sys, stringydet; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in proc.stdout.split() if m.startswith("stringydet")] == ["stringydet"]
+
+
+@pytest.mark.parametrize("argv", STRINGY_COMMANDS)
+def test_route_commands_leave_out_the_oracle(argv):
+    modules = loaded(argv)
+    assert "stringydet.stringy" in modules
+    assert "stringydet.oracle" not in modules
+
+
+@pytest.mark.parametrize("argv", ORACLE_COMMANDS)
+def test_oracle_commands_leave_out_stringy_and_json(argv):
+    modules = loaded(argv)
+    assert "stringydet.oracle" in modules
+    assert not {"stringydet.stringy", "json"} & modules
+
+
+@pytest.mark.parametrize("suite", ["identities", "orbits", "zeta", "oracle", "all"])
+def test_verify_leaves_out_json(suite):
+    assert "json" not in loaded(f"verify --suite {suite} --rmax 2")
+
+
+def test_invalid_input_has_one_class():
+    assert stringy.InvalidInput is groth.InvalidInput
+
+
+def test_oracle_default_budget():
+    proc = cold("oracle", "--p", "3", "--rmax", "5")
+    assert proc.returncode == 3
+    assert proc.stdout == "estimated candidates: 850833407379\n"
+    assert proc.stderr == "error: 850833407379 candidates exceed the budget 200000000\n"
+
+
+def test_oracle_without_a_check_is_a_usage_error():
+    proc = cold("oracle", "--p", "2", "--rmax", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no check to run: --rmax 0\n"

@@ -19,7 +19,7 @@ def frozen_records():
     def build():
         return [
             ResolutionData(strata=[(q_pow(2), [0]), (ONE, set())], discrepancies=[2]),
-            RankCensus(p=2, r=1, s=1, counts=MappingProxyType({0: 1, 1: 1})),
+            RankCensus(counts=MappingProxyType({0: 1, 1: 1})),
             HodgeTable(diag={0: 1, 1: 1}),
         ]
     return list(zip(build(), build()))
@@ -67,7 +67,7 @@ class TestFrozenRecords:
         assert data.discrepancies == (3,)
 
     def test_methods_and_repr(self):
-        assert RankCensus(2, 1, 1, MappingProxyType({0: 1, 1: 1})).total() == 2
+        assert RankCensus(MappingProxyType({0: 1, 1: 1})).total() == 2
         assert HodgeTable({0: 1, 1: -1}).non_negative is False
         assert repr(HodgeTable({0: 1})) == "HodgeTable(diag={0: 1})"
 
