@@ -5,6 +5,8 @@ argument, or a grid that holds no check), 3 enumeration budget exceeded.
 
 A command loads only the layers it runs: ``stringy`` for the routes, ``oracle``
 for the counts over F_p and ``json`` for JSON output are imported where used.
+The errors that end a command are ``groth``'s, so ``main`` maps each class to
+its exit status whichever layer raised it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import sys
 from math import comb
 
 from .exactalg import LaurentPoly
-from .groth import InvalidInput, gauss_binomial, rank_identity_check
+from .groth import (BudgetExceeded, InvalidInput, MismatchFound, gauss_binomial,
+                    q_factor_product, rank_identity_check)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,7 +139,7 @@ def suite_orbits(rmax: int) -> list:
             closed = _routes(variety)[0](r, k)
             if variety == "projective":
                 # the truncated projective sum leaves the 1/(q - 1) factor out
-                closed = closed * LaurentPoly({1: 1, 0: -1})
+                closed = q_factor_product([1], closed)
             partial = stringy.truncated_orbit_sum(r, k, cap, variety)
             stable = {e: c for e, c in partial.terms.items() if e > bound}
             expect = {e: c for e, c in closed.terms.items() if e > bound}
@@ -159,7 +162,7 @@ def suite_oracle(p: int, rmax: int, budget: int) -> list:
     from . import oracle
     try:
         report = oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget)
-    except oracle.MismatchFound as exc:
+    except MismatchFound as exc:
         return [("oracle_certification", False, str(exc))]
     return report.checks
 
@@ -272,13 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_error(name: str) -> tuple:
-    """The oracle's exception class ``name``, or none if no command loaded the
-    oracle: only a loaded oracle raises it."""
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    return (getattr(oracle, name),) if oracle else ()
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -347,13 +343,13 @@ def main(argv=None) -> int:
             report = oracle.verify_classes(args.p, args.rmax, args.budget)
             return EXIT_OK if _print_checks(report.checks) else EXIT_FAIL
 
-    except (InvalidInput, *_oracle_error("UnsupportedPrime")) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _oracle_error("BudgetExceeded") as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _oracle_error("MismatchFound") as exc:
+    except MismatchFound as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

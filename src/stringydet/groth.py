@@ -3,6 +3,9 @@
 Everything is a polynomial (or Laurent polynomial) in ``q``, the class of
 the affine line: general linear groups, Grassmannians, tuples of
 independent vectors, and the rank stratification of matrix space.
+
+The errors that end a command live here too, where every layer can raise them
+and ``cli`` can catch them without loading the layer that raises.
 """
 from __future__ import annotations
 
@@ -17,6 +20,18 @@ class InvalidInput(ValueError):
     """Parameters outside the supported range of a route or a command."""
 
 
+class UnsupportedPrime(InvalidInput):
+    """The field size is not a prime, or is above the enumeration cap."""
+
+
+class BudgetExceeded(ValueError):
+    """Requested enumeration would exceed the candidate budget."""
+
+
+class MismatchFound(AssertionError):
+    """A class polynomial disagreed with an exhaustive count."""
+
+
 class InvalidDimension(ValueError):
     """Subspace dimension exceeds the ambient dimension."""
 
@@ -25,16 +40,11 @@ class InvalidRank(ValueError):
     """Rank outside the range allowed by the matrix shape."""
 
 
-def partition_tails(k: int, cap: int, last_zero: bool = False):
+def partition_tails(k: int, cap: int):
     """All weakly decreasing k-tuples of entries in 0..cap, the finite tails of
-    the orbit partitions of rank bound k.
-
-    With ``last_zero`` only tails whose final entry is 0 are produced.
-    """
-    last_range = 1 if last_zero else cap + 1
-    for rest in itertools.combinations_with_replacement(range(cap + 1), k - 1):
-        for last in range(min(last_range, rest[0] + 1 if rest else last_range)):
-            yield tuple(reversed(rest)) + (last,)
+    the orbit partitions of rank bound k."""
+    for c in itertools.combinations_with_replacement(range(cap + 1), k):
+        yield tuple(reversed(c))
 
 
 def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:

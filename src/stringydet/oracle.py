@@ -15,23 +15,11 @@ from collections import namedtuple
 from operator import add
 from types import MappingProxyType
 
-from .groth import (InvalidRank, class_gl, class_independent_tuples, gauss_binomial,
-                    rank_stratum_class)
+from .groth import (BudgetExceeded, InvalidRank, MismatchFound, UnsupportedPrime, class_gl,
+                    class_independent_tuples, gauss_binomial, rank_stratum_class)
 
 DEFAULT_BUDGET = 2 * 10 ** 8
 PRIME_CAP = 7
-
-
-class BudgetExceeded(ValueError):
-    """Requested enumeration would exceed the candidate budget."""
-
-
-class MismatchFound(AssertionError):
-    """A class polynomial disagreed with an exhaustive count."""
-
-
-class UnsupportedPrime(ValueError):
-    """The field size is not a prime, or is above the enumeration cap."""
 
 
 class RankCensus(namedtuple("RankCensus", "counts")):

@@ -291,7 +291,9 @@ def truncated_orbit_sum(r: int, k: int, cap: int, variant: str = "affine") -> La
     if variant not in ("affine", "projective"):
         raise InvalidInput(f"unknown variant {variant!r}")
     total = ZERO
-    for tail in partition_tails(k, cap, last_zero=(variant == "projective")):
+    tails = (((*tail, 0) for tail in partition_tails(k - 1, cap)) if variant == "projective"
+             else partition_tails(k, cap))
+    for tail in tails:
         total = total + orbit_measure(r, k, tail).shift((r - k) * sum(tail))
     return total
 
@@ -347,10 +349,9 @@ def zeta_closed_expansion(r: int, order: int) -> tuple:
         limit = top if b == r else order
         reached = {}
         for a in range(b):
-            step = _step_class(b - a, b)
             for t, c in paths[a].items():
                 if t + b <= limit:  # else no arrival at b fits the truncation
-                    reached[t] = reached.get(t, ZERO) + c * step
+                    reached[t] = reached.get(t, ZERO) + c * _step_class(b - a, b)
         arrived = {}
         for t, c in reached.items():
             for j in range(1, (limit - t) // b + 1):

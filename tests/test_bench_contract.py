@@ -11,6 +11,12 @@ Every operation of ``bench/run.py`` also runs here in a fresh process, as the
 benchmark runs it, and ``bench/checks.py`` checks its output; so does
 ``bench/selftest.py``. In this process every module is loaded already, so a
 command that lost an import it needs fails only there.
+
+A traced benchmark run (``run.py --trace 1``) is marked incorrect, with no
+failed operation, when a ``layers.py`` probe exits non-zero, when a replayed
+output fails ``checks.check``, or when a workload's layer self times miss its
+in-process time by more than 10 %. The kernel probe, the traced replay of every
+workload and that accounting run here too.
 """
 import json
 import os
@@ -55,6 +61,37 @@ def test_tracer_counts_the_oracle_checks():
                                   ("cold-build",)], ids=["census", "subset_sum", "cold_build"])
 def test_layer_probe_runs(argv):
     assert bench_json("layers.py", *argv)["seconds"] >= 0
+
+
+def test_micro_probe_rows_are_positive():
+    result = bench_json("layers.py", "micro", "1")
+    assert sorted(result) == sorted(run.MICRO)
+    assert all(result[name] > 0 for name in run.MICRO)
+
+
+@pytest.fixture(scope="module")
+def traced_replay():
+    """Every workload replayed once through tracer.py, as ``run.trace`` replays it:
+    the run's verdicts and each workload's merged aggregates."""
+    replay = run.Run()
+    merged = {}
+    for name, ops in run.WORKLOADS.items():
+        traces = [replay.operation(name, op, traced=True)[1] for op in ops]
+        merged[name] = run._sum_traces([t for t in traces if t is not None])
+    return replay, merged
+
+
+def test_traced_replay_is_correct(traced_replay):
+    replay, _ = traced_replay
+    assert (replay.correct, replay.failed) == (True, 0)
+    assert replay.attempted == len(OPERATIONS)
+
+
+@pytest.mark.parametrize("workload", list(run.WORKLOADS))
+def test_layer_self_times_account_for_the_workload(traced_replay, workload):
+    t = traced_replay[1][workload]
+    layer_sum = sum(v for k, v in t["layers"].items() if k != "trace")
+    assert abs(layer_sum - t["main_s"]) <= 0.1 * t["main_s"], t["layers"]
 
 
 def test_layer_probes_find_the_gcd():

@@ -1,10 +1,11 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
+import inspect
 import json
 import re
 
 import pytest
 
-from stringydet import groth, oracle, stringy
+from stringydet import cli, groth, oracle, stringy
 from stringydet.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -430,3 +431,37 @@ class TestZetaAndOracle:
                           "FAIL  gl(2) at q=2  (class value 7 != count 6)"]
         assert len(lines) > len(failed)
         assert all(line.startswith("pass") for line in lines if line not in failed)
+
+
+class TestCommandErrors:
+    """The errors that end a command are defined once, in groth; main maps each
+    class to its exit status, whether or not the oracle is loaded."""
+
+    @pytest.mark.parametrize("name", ["UnsupportedPrime", "BudgetExceeded", "MismatchFound"])
+    def test_oracle_raises_the_groth_class(self, name):
+        assert getattr(oracle, name) is getattr(groth, name)
+
+    def test_unsupported_prime_is_a_usage_error_class(self):
+        assert issubclass(groth.UnsupportedPrime, groth.InvalidInput)
+
+    def test_main_names_the_classes(self):
+        assert not hasattr(cli, "_oracle_error")
+        assert "sys.modules" not in inspect.getsource(cli)
+
+    def test_mismatch_ends_the_oracle_command(self, monkeypatch, capsys):
+        # one ordered basis of F_2^1 against a wrong count of 4 base changes
+        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
+        code, out, err = run(["oracle", "--p", "2", "--rmax", "2"], capsys)
+        assert code == EXIT_FAIL
+        assert out == "estimated candidates: 22\n"
+        assert err.splitlines() == ["mismatch: 1 ordered bases of 1-subspaces of F_2^1 "
+                                    "are not a multiple of 4 base changes"]
+
+    def test_mismatch_fails_the_oracle_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
+        code, out, err = run(["verify", "--suite", "oracle", "--p", "2", "--rmax", "2"], capsys)
+        assert code == EXIT_FAIL
+        assert out.splitlines() == ["FAIL  oracle_certification  (1 ordered bases of "
+                                    "1-subspaces of F_2^1 are not a multiple of 4 base "
+                                    "changes)"]
+        assert err == ""

@@ -303,5 +303,9 @@ class TestRankIdentity:
 def test_partition_tail_enumeration():
     tails = list(partition_tails(2, 2))
     assert sorted(tails) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-    pinned = list(partition_tails(2, 2, last_zero=True))
-    assert sorted(pinned) == [(0, 0), (1, 0), (2, 0)]
+    for k in range(5):  # every weakly decreasing tuple once, the empty one at k = 0
+        for cap in range(4):
+            tails = list(partition_tails(k, cap))
+            want = [t for t in itertools.product(range(cap + 1), repeat=k)
+                    if all(a >= b for a, b in zip(t, t[1:]))]
+            assert sorted(tails) == want, (k, cap)

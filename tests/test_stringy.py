@@ -11,6 +11,7 @@ from stringydet.groth import class_gl, gauss_binomial, partition_tails, q_factor
 from stringydet.stringy import (
     _ladder,
     _orbit_chain_sum,
+    _step_class,
     HodgeTable,
     InvalidInput,
     NegativeExponent,
@@ -302,6 +303,17 @@ class TestOrbitSums:
             assert {e: c for e, c in partial.terms.items() if e > bound} \
                 == {e: c for e, c in target.terms.items() if e > bound}
 
+    def test_projective_truncation_pins_the_last_entry_to_zero(self):
+        partial = truncated_orbit_sum(3, 2, 2, "projective")
+        assert partial == LaurentPoly({-4: 1, -3: 2, -2: 2, 0: -3, 1: -3, 2: -2,
+                                       6: 1, 7: 1, 8: 1})
+        for r, k, cap in ((3, 1, 3), (3, 2, 2), (4, 3, 2), (5, 2, 3)):
+            pinned = ZERO
+            for tail in partition_tails(k, cap):
+                if tail[-1] == 0:
+                    pinned = pinned + orbit_measure(r, k, tail).shift((r - k) * sum(tail))
+            assert truncated_orbit_sum(r, k, cap, "projective") == pinned, (r, k, cap)
+
     def test_bound_matches_class_degrees(self):
         # oracle: the largest degree of prod [G(b, c)]^2 [GL_b] over all
         # block structures (compositions of k), from the polynomials themselves
@@ -344,6 +356,13 @@ class TestZeta:
         for r in (1, 2, 3, 4, 5):
             series = zeta_closed_expansion(r, 6)
             assert series == tuple(zeta_coefficient_direct(r, n) for n in range(7))
+
+    def test_closed_expansion_builds_only_the_steps_it_uses(self):
+        # a step class is built only for a path term that fits the truncation
+        _step_class.cache_clear()
+        series = zeta_closed_expansion(30, 2)
+        assert _step_class.cache_info().currsize <= 5
+        assert series == tuple(zeta_coefficient_direct(30, n) for n in range(3))
 
     def test_out_of_range_coefficient(self):
         # the series holds T^0 ... T^order and nothing beyond
