@@ -55,18 +55,19 @@ def _render_uv(pairs: list) -> str:
 
 
 def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
-             details: str = "") -> list:
+             details: str = "") -> tuple:
     """A check that two routes agree; a failure names the lowest differing coefficient."""
     if route == reference:
-        return [name, True, details]
+        return name, True, details
     e = (route - reference).order()
-    return [name, False, f"first difference at q^{e}: route {route.terms.get(e, 0)}, "
-                         f"reference {reference.terms.get(e, 0)}"]
+    return name, False, (f"first difference at q^{e}: route {route.terms.get(e, 0)}, "
+                         f"reference {reference.terms.get(e, 0)}")
 
 
 def compute_record(r: int, k: int, variety: str) -> dict:
     """Compute and compare both routes of a variety; the first validates (r, k).
-    ``compute --format json`` prints the record; coefficients are decimal strings."""
+    ``compute --format json`` prints the record, JSON-native: coefficients are
+    decimal strings and each check is a list."""
     from . import stringy
     closed, summed = (route(r, k) for route in _routes(variety))
     table = stringy.hodge_table(closed)
@@ -75,8 +76,8 @@ def compute_record(r: int, k: int, variety: str) -> dict:
         "hodgeDiagonal": {str(p): v for p, v in table.diag.items()},
         "eulerNumber": str(stringy.stringy_euler(closed)), "nonNegative": table.non_negative,
         "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
-        "checks": [_compare("closed_equals_orbit_sum", summed, closed,
-                            "exact polynomial comparison of the two routes")],
+        "checks": [list(_compare("closed_equals_orbit_sum", summed, closed,
+                                 "exact polynomial comparison of the two routes"))],
     }
 
 

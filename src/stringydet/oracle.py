@@ -31,19 +31,10 @@ class RankCensus(namedtuple("RankCensus", "counts")):
         return sum(self.counts.values())
 
 
-class InvariantReport:
-    """Aggregated pass/fail verdicts from a verification run."""
+class InvariantReport(namedtuple("InvariantReport", "checks")):
+    """The (name, ok, details) verdicts of a verification run, read-only."""
 
-    def __init__(self, checks=None):
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.checks == other.checks
-
-    def record(self, name: str, passed: bool, details: str = "") -> None:
-        self.checks.append((name, passed, details))
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -183,52 +174,37 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     against the census, cumulative rank-bounded counts, and the total-space
     rank identity. Every comparison is recorded, disagreements included;
     the budget is checked against all censuses before any is enumerated.
+    Each census is read once and each stratum class evaluated once.
     """
     check_prime(p)
     _check_budget(census_candidates(p, r_max, budget), budget)
-    report = InvariantReport()
+    sizes = range(1, r_max + 1)
+    counts = {(r, s): rank_census(p, r, s, budget).counts for r in sizes for s in sizes if r <= s}
+    strata = {(r, s): [rank_stratum_class(r, s, j).evaluate(p) for j in range(min(r, s) + 1)]
+              for r in sizes for s in sizes}
+    checks = []
 
     def check(name: str, expected, actual) -> None:
-        if expected == actual:
-            report.record(name, True, f"{expected}")
-        else:
-            report.record(name, False, f"class value {expected} != count {actual}")
+        ok = expected == actual
+        checks.append((f"{name} at q={p}", ok,
+                       f"{expected}" if ok else f"class value {expected} != count {actual}"))
 
-    censuses = {}
-    for r in range(1, r_max + 1):
-        for s in range(r, r_max + 1):
-            censuses[(r, s)] = rank_census(p, r, s, budget)
-
-    for d in range(1, r_max + 1):
-        check(f"gl({d}) at q={p}",
-              class_gl(d).evaluate(p),
-              censuses[(d, d)].counts[d])
-
-    for k in range(1, r_max + 1):
+    for d in sizes:
+        check(f"gl({d})", class_gl(d).evaluate(p), counts[d, d][d])
+    for k in sizes:
         for d in range(0, k + 1):
-            check(f"grassmannian({d},{k}) at q={p}",
-                  gauss_binomial(d, k).evaluate(p),
+            check(f"grassmannian({d},{k})", gauss_binomial(d, k).evaluate(p),
                   count_subspaces(p, d, k, budget))
-            check(f"independent_tuples({d},{k}) at q={p}",
-                  class_independent_tuples(d, k).evaluate(p),
-                  censuses[(d, k)].counts[d] if d else 1)
-
-    for r in range(1, r_max + 1):
-        for s in range(r, r_max + 1):
-            census = censuses[(r, s)]
-            for j in range(0, r + 1):
-                check(f"rank_stratum({r},{s},{j}) at q={p}",
-                      rank_stratum_class(r, s, j).evaluate(p),
-                      census.counts[j])
-            for k in range(0, r + 1):
-                bounded = sum(census.counts[j] for j in range(k + 1))
-                cls = sum(rank_stratum_class(r, s, j).evaluate(p) for j in range(k + 1))
-                check(f"rank_bounded({r},{s},<= {k}) at q={p}", cls, bounded)
-
-    for r in range(1, r_max + 1):
+            check(f"independent_tuples({d},{k})", class_independent_tuples(d, k).evaluate(p),
+                  counts[d, k][d] if d else 1)
+    for (r, s), census in counts.items():
+        for j, value in enumerate(strata[r, s]):
+            check(f"rank_stratum({r},{s},{j})", value, census[j])
+        bounded = zip(itertools.accumulate(strata[r, s]), itertools.accumulate(census.values()))
+        for k, (value, count) in enumerate(bounded):
+            check(f"rank_bounded({r},{s},<= {k})", value, count)
+    # r x k, not k x r: the identity sums the strata of the shape it names
+    for r in sizes:
         for k in range(1, r + 1):
-            check(f"rank_identity({r},{k}) at q={p}", p ** (k * r),
-                  sum(rank_stratum_class(r, k, j).evaluate(p) for j in range(k + 1)))
-
-    return report
-
+            check(f"rank_identity({r},{k})", p ** (k * r), sum(strata[r, k]))
+    return InvariantReport(checks)

@@ -136,11 +136,11 @@ def test_criterion_8_zeta_consistency():
 
 
 def test_criterion_9_oracle_certification():
-    for p, r_max in ((2, 4), (3, 3), (5, 2), (2, 5), (5, 3)):
+    for p, r_max in ((2, 4), (3, 3), (5, 2), (2, 5), (5, 3), (3, 4)):
         report = verify_classes(p, r_max)
         assert report.passed, (p, r_max)
     _report(9, "finite-field point counts certify every class formula for "
-               "(p, r_max) in {(2,4), (3,3), (5,2), (2,5), (5,3)}")
+               "(p, r_max) in {(2,4), (3,3), (5,2), (2,5), (5,3), (3,4)}")
 
 
 def _random_poly(rng):

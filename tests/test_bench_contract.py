@@ -10,7 +10,8 @@ reads one name from the package: ``RankCensus.counts`` (census),
 Every operation of ``bench/run.py`` also runs here in a fresh process, as the
 benchmark runs it, and ``bench/checks.py`` checks its output; so does
 ``bench/selftest.py``. In this process every module is loaded already, so a
-command that lost an import it needs fails only there.
+command that lost an import it needs fails only there. The oracle checker
+also runs, in this process, on four grids beyond the census workload's.
 
 A traced benchmark run (``run.py --trace 1``) is marked incorrect, with no
 failed operation, when a ``layers.py`` probe exits non-zero, when a replayed
@@ -26,7 +27,7 @@ import sys
 
 import pytest
 
-from stringydet import exactalg
+from stringydet import cli, exactalg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -96,6 +97,14 @@ def test_layer_self_times_account_for_the_workload(traced_replay, workload):
 
 def test_layer_probes_find_the_gcd():
     assert callable(exactalg.laurent_gcd)
+
+
+@pytest.mark.parametrize("p,rmax", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_oracle_checker_passes_beyond_the_workload(p, rmax, capsys):
+    # the checker requires the printed check names to equal those it derives
+    argv = ["oracle", "--p", str(p), "--rmax", str(rmax)]
+    code = cli.main(argv)
+    checks.check(argv, code, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("op", list(OPERATIONS.values()), ids=list(OPERATIONS))

@@ -36,6 +36,39 @@ $r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline
 \end{tabular}
 """
 
+# ``oracle --p 2 --rmax 2``, byte for byte: the check order and detail strings.
+ORACLE_P2_RMAX_2 = """estimated candidates: 22
+pass  gl(1) at q=2  (1)
+pass  gl(2) at q=2  (6)
+pass  grassmannian(0,1) at q=2  (1)
+pass  independent_tuples(0,1) at q=2  (1)
+pass  grassmannian(1,1) at q=2  (1)
+pass  independent_tuples(1,1) at q=2  (1)
+pass  grassmannian(0,2) at q=2  (1)
+pass  independent_tuples(0,2) at q=2  (1)
+pass  grassmannian(1,2) at q=2  (3)
+pass  independent_tuples(1,2) at q=2  (3)
+pass  grassmannian(2,2) at q=2  (1)
+pass  independent_tuples(2,2) at q=2  (6)
+pass  rank_stratum(1,1,0) at q=2  (1)
+pass  rank_stratum(1,1,1) at q=2  (1)
+pass  rank_bounded(1,1,<= 0) at q=2  (1)
+pass  rank_bounded(1,1,<= 1) at q=2  (2)
+pass  rank_stratum(1,2,0) at q=2  (1)
+pass  rank_stratum(1,2,1) at q=2  (3)
+pass  rank_bounded(1,2,<= 0) at q=2  (1)
+pass  rank_bounded(1,2,<= 1) at q=2  (4)
+pass  rank_stratum(2,2,0) at q=2  (1)
+pass  rank_stratum(2,2,1) at q=2  (9)
+pass  rank_stratum(2,2,2) at q=2  (6)
+pass  rank_bounded(2,2,<= 0) at q=2  (1)
+pass  rank_bounded(2,2,<= 1) at q=2  (10)
+pass  rank_bounded(2,2,<= 2) at q=2  (16)
+pass  rank_identity(1,1) at q=2  (2)
+pass  rank_identity(2,1) at q=2  (4)
+pass  rank_identity(2,2) at q=2  (16)
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -363,6 +396,11 @@ class TestZetaAndOracle:
         code, out, _ = run(["oracle", "--p", "3", "--rmax", "2"], capsys)
         assert code == EXIT_OK
         assert out.startswith("estimated candidates:")
+
+    def test_oracle_p2_rmax_2_is_pinned(self, capsys):
+        code, out, err = run("oracle --p 2 --rmax 2".split(), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ORACLE_P2_RMAX_2
 
     def test_non_prime_is_a_usage_error(self, capsys):
         code, out, err = run(["oracle", "--p", "4", "--rmax", "2"], capsys)

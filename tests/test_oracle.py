@@ -284,6 +284,35 @@ class TestVerifyClasses:
         assert [name for name, _ in failed] == [f"gl({d}) at q=2" for d in (1, 2, 3)]
         assert failed[0][1] == "class value 2 != count 1"
 
+    def test_each_stratum_class_is_built_once(self, monkeypatch):
+        built = Counter()
+
+        def counted(r, s, j):
+            built[r, s, j] += 1
+            return groth.rank_stratum_class(r, s, j)
+
+        monkeypatch.setattr(oracle, "rank_stratum_class", counted)
+        assert verify_classes(2, 3).passed
+        assert sum(built.values()) == len(built) == 23
+        assert set(built) == {(r, s, j) for r in range(1, 4) for s in range(1, 4)
+                              for j in range(min(r, s) + 1)}
+
+    def test_wrong_stratum_fails_exactly_its_dependents(self, monkeypatch):
+        names = [name for name, _, _ in verify_classes(2, 3).checks]
+
+        def off_by_one(r, s, j):
+            cls = groth.rank_stratum_class(r, s, j)
+            return cls + ONE if (r, s, j) == (2, 2, 1) else cls
+
+        monkeypatch.setattr(oracle, "rank_stratum_class", off_by_one)
+        report = verify_classes(2, 3)
+        assert [name for name, _, _ in report.checks] == names
+        failed = [(name, details) for name, ok, details in report.checks if not ok]
+        assert failed == [("rank_stratum(2,2,1) at q=2", "class value 10 != count 9"),
+                          ("rank_bounded(2,2,<= 1) at q=2", "class value 11 != count 10"),
+                          ("rank_bounded(2,2,<= 2) at q=2", "class value 17 != count 16"),
+                          ("rank_identity(2,2) at q=2", "class value 16 != count 17")]
+
     def test_budget_covers_every_census(self):
         # each census fits the budget alone, all of them together do not
         total = census_candidates(2, 3)

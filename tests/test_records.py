@@ -12,6 +12,7 @@ from stringydet.oracle import InvariantReport, RankCensus, UnsupportedPrime, che
 from stringydet.stringy import HodgeTable, InvalidInput, ResolutionData, orbit_measure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+UNHASHABLE = (RankCensus, HodgeTable, InvariantReport)  # hold a dict or a list
 
 
 def frozen_records():
@@ -21,6 +22,7 @@ def frozen_records():
             ResolutionData(strata=[(q_pow(2), [0]), (ONE, set())], discrepancies=[2]),
             RankCensus(counts=MappingProxyType({0: 1, 1: 1})),
             HodgeTable(diag={0: 1, 1: 1}),
+            InvariantReport(checks=[("gl(1) at q=2", True, "1")]),
         ]
     return list(zip(build(), build()))
 
@@ -39,19 +41,20 @@ class TestFrozenRecords:
     def test_equal_records_hash_equal(self):
         for a, b in frozen_records():
             assert a == b and a is not b
-            if not isinstance(a, (RankCensus, HodgeTable)):  # hold a dict
+            if not isinstance(a, UNHASHABLE):
                 assert hash(a) == hash(b)
                 assert len({a, b}) == 1
 
     def test_records_that_hold_a_dict_are_unhashable(self):
         for a, _ in frozen_records():
-            if isinstance(a, (RankCensus, HodgeTable)):
+            if isinstance(a, UNHASHABLE):
                 with pytest.raises(TypeError):
                     hash(a)
 
     def test_unequal_fields_compare_unequal(self):
         assert ResolutionData(((ONE, ()),), (2,)) != ResolutionData(((ONE, ()),), (3,))
         assert HodgeTable({0: 1}) != HodgeTable({0: 2})
+        assert InvariantReport([("x", True, "")]) != InvariantReport([("x", False, "")])
 
     def test_assignment_raises(self):
         for a, _ in frozen_records():
@@ -70,6 +73,8 @@ class TestFrozenRecords:
         assert RankCensus(MappingProxyType({0: 1, 1: 1})).total() == 2
         assert HodgeTable({0: 1, 1: -1}).non_negative is False
         assert repr(HodgeTable({0: 1})) == "HodgeTable(diag={0: 1})"
+        assert InvariantReport([]).passed and InvariantReport([("x", True, "")]).passed
+        assert not InvariantReport([("x", True, ""), ("y", False, "")]).passed
 
     @pytest.mark.parametrize("build,error,message", [
         (lambda: orbit_measure(3, 2, (1,)), InvalidInput, "expected 2 entries, got 1"),
@@ -90,15 +95,3 @@ class TestFrozenRecords:
         with pytest.raises(error) as info:
             build()
         assert str(info.value) == message
-
-
-class TestMutableRecords:
-    def test_invariant_report(self):
-        a, b = InvariantReport(), InvariantReport()
-        a.record("gl(1)", True, "1")
-        assert b.checks == [] and a != b
-        b.record("gl(1)", True, "1")
-        assert a == b and a.passed
-        a.record("gl(2)", False)
-        assert not a.passed
-        assert InvariantReport(checks=[("x", True, "")]).checks == [("x", True, "")]
