@@ -5,8 +5,9 @@ argument, or a grid that holds no check), 3 enumeration budget exceeded.
 
 A command loads only the layers it runs: ``stringy`` for the routes, ``oracle``
 for the counts over F_p and ``json`` for JSON output are imported where used.
-The errors that end a command are ``groth``'s, so ``main`` maps each class to
-its exit status whichever layer raised it.
+The errors that end a command are ``groth``'s ``InvalidInput`` (exit 2) and
+``BudgetExceeded`` (exit 3), so ``main`` maps each to its exit status whichever
+layer raised it. A disagreement never ends a command: it is a failing check.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import sys
 from math import comb
 
 from .exactalg import LaurentPoly
-from .groth import (BudgetExceeded, InvalidInput, MismatchFound, gauss_binomial,
-                    q_factor_product, rank_identity_check)
+from .groth import (BudgetExceeded, InvalidInput, gauss_binomial, q_factor_product,
+                    rank_identity_check)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,9 +133,7 @@ def suite_orbits(rmax: int) -> list:
     rmax = _clamp("orbits", rmax, 4)
     pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
     for r, k in pairs:
-        cap = 0
-        while stringy.orbit_tail_degree_bound(r, k, cap) >= 0:
-            cap += 1
+        cap = k * (2 * r - k) // (r - k + 1)  # the least cap whose bound is negative
         bound = stringy.orbit_tail_degree_bound(r, k, cap)
         for variety in VARIETIES:
             closed = _routes(variety)[0](r, k)
@@ -161,11 +160,7 @@ def suite_zeta(rmax: int, order: int) -> list:
 
 def suite_oracle(p: int, rmax: int, budget: int) -> list:
     from . import oracle
-    try:
-        report = oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget)
-    except MismatchFound as exc:
-        return [("oracle_certification", False, str(exc))]
-    return report.checks
+    return oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget).checks
 
 
 def _clamp(suite: str, rmax: int, cap: int) -> int:
@@ -350,9 +345,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MismatchFound as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
     return EXIT_USAGE
 

@@ -28,18 +28,6 @@ class BudgetExceeded(ValueError):
     """Requested enumeration would exceed the candidate budget."""
 
 
-class MismatchFound(AssertionError):
-    """A class polynomial disagreed with an exhaustive count."""
-
-
-class InvalidDimension(ValueError):
-    """Subspace dimension exceeds the ambient dimension."""
-
-
-class InvalidRank(ValueError):
-    """Rank outside the range allowed by the matrix shape."""
-
-
 def partition_tails(k: int, cap: int):
     """All weakly decreasing k-tuples of entries in 0..cap, the finite tails of
     the orbit partitions of rank bound k."""
@@ -85,7 +73,7 @@ def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
 def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
     if d < 0:
-        raise InvalidDimension("d must be nonnegative")
+        raise InvalidInput("d must be nonnegative")
     return q_factor_product(range(1, d + 1)).shift(d * (d - 1) // 2)
 
 
@@ -97,7 +85,7 @@ def gauss_binomial(d: int, k: int) -> LaurentPoly:
     at a time: step j leaves [j+k-d choose j], so every division is exact.
     """
     if d < 0 or k < 0 or d > k:
-        raise InvalidDimension(f"need 0 <= d <= k, got d={d}, k={k}")
+        raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
     d = min(d, k - d)
     result = ONE
     for j in range(1, d + 1):
@@ -109,7 +97,7 @@ def gauss_binomial(d: int, k: int) -> LaurentPoly:
 def class_independent_tuples(d: int, k: int) -> LaurentPoly:
     """Class of d-tuples of linearly independent vectors in k-space."""
     if d < 0 or k < 0 or d > k:
-        raise InvalidDimension(f"need 0 <= d <= k, got d={d}, k={k}")
+        raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
     result = ONE
     for j in range(d):
         result = result.shift(k) - result.shift(j)
@@ -119,12 +107,12 @@ def class_independent_tuples(d: int, k: int) -> LaurentPoly:
 def rank_stratum_class(r: int, s: int, j: int) -> LaurentPoly:
     """Class of r x s matrices of rank exactly j: [G(r-j, r)] * [U(j, s)]."""
     if not 0 <= j <= min(r, s):
-        raise InvalidRank(f"need 0 <= j <= min(r, s), got j={j}")
+        raise InvalidInput(f"need 0 <= j <= min(r, s), got j={j}")
     return gauss_binomial(r - j, r) * class_independent_tuples(j, s)
 
 
 def rank_identity_check(r: int, k: int) -> bool:
     """q^{kr} = sum_{j=0}^{k} [r x k matrices of rank j], exactly."""
     if not 1 <= k <= r:
-        raise InvalidRank(f"need 1 <= k <= r, got r={r}, k={k}")
+        raise InvalidInput(f"need 1 <= k <= r, got r={r}, k={k}")
     return sum(rank_stratum_class(r, k, j) for j in range(k + 1)) == q_pow(k * r)

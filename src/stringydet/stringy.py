@@ -30,10 +30,6 @@ from .groth import (InvalidInput, class_gl, gauss_binomial, partition_tails, q_f
                     q_factor_quotient)
 
 
-class NegativeExponent(ValueError):
-    """A Hodge table was requested for a non-polynomial."""
-
-
 class HodgeTable(namedtuple("HodgeTable", "diag")):
     """Diagonal stringy Hodge numbers h^{p,p} read off a polynomial.
 
@@ -198,11 +194,11 @@ def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
 def hodge_table(p: LaurentPoly) -> HodgeTable:
     """Diagonal Hodge numbers of a polynomial stringy E-function."""
     if not p.is_polynomial():
-        raise NegativeExponent("stringy Hodge numbers need a polynomial")
+        raise InvalidInput("stringy Hodge numbers need a polynomial")
     diag = {}
     for exp, c in sorted(p.terms.items()):
         if type(c) is not int:
-            raise NegativeExponent(f"non-integer coefficient {c} at q^{exp}")
+            raise InvalidInput(f"non-integer coefficient {c} at q^{exp}")
         diag[exp] = c
     return HodgeTable(diag=diag)
 

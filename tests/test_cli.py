@@ -1,11 +1,15 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
+import ast
 import inspect
+import itertools
 import json
 import re
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from stringydet import cli, groth, oracle, stringy
+from stringydet import cli, exactalg, groth, oracle, stringy
 from stringydet.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -15,7 +19,7 @@ from stringydet.cli import (
     main,
     table_rows,
 )
-from stringydet.exactalg import ONE, q_pow
+from stringydet.exactalg import ONE, LaurentPoly, q_pow
 
 
 # ``table --rmax 4 --variety both --format latex``, byte for byte.
@@ -250,6 +254,19 @@ class TestVerify:
         assert code == EXIT_OK
         assert err == ""
 
+    def test_orbit_cap_is_the_least_with_a_negative_bound(self, monkeypatch):
+        def least_cap(r, k):  # the loop the integer formula replaced
+            cap = 0
+            while stringy.orbit_tail_degree_bound(r, k, cap) >= 0:
+                cap += 1
+            return cap
+
+        monkeypatch.setattr(cli, "_clamp", lambda suite, rmax, cap: rmax)
+        monkeypatch.setattr(stringy, "truncated_orbit_sum", lambda r, k, cap, variety: ONE)
+        names = [name for name, _, _ in cli.suite_orbits(12)]
+        assert names == [f"orbit_convergence_{variety}({r},{k},cap={least_cap(r, k)})"
+                         for r in range(2, 13) for k in range(1, r) for variety in cli.VARIETIES]
+
     def test_clamped_rmax_is_noted(self, capsys):
         code, out, err = run(["verify", "--suite", "zeta", "--rmax", "5",
                               "--order", "1"], capsys)
@@ -475,7 +492,7 @@ class TestCommandErrors:
     """The errors that end a command are defined once, in groth; main maps each
     class to its exit status, whether or not the oracle is loaded."""
 
-    @pytest.mark.parametrize("name", ["UnsupportedPrime", "BudgetExceeded", "MismatchFound"])
+    @pytest.mark.parametrize("name", ["UnsupportedPrime", "BudgetExceeded", "InvalidInput"])
     def test_oracle_raises_the_groth_class(self, name):
         assert getattr(oracle, name) is getattr(groth, name)
 
@@ -485,21 +502,111 @@ class TestCommandErrors:
     def test_main_names_the_classes(self):
         assert not hasattr(cli, "_oracle_error")
         assert "sys.modules" not in inspect.getsource(cli)
+        # the command's try has one clause per ending: usage error and budget
+        tries = [node for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
+                 if isinstance(node, ast.Try)]
+        assert [[ast.unparse(h.type) for h in node.handlers] for node in tries] == [
+            ["SystemExit"], ["InvalidInput", "BudgetExceeded"]]
+
+    def test_every_error_is_one_of_two_kinds(self):
+        # bad input ends a command with exit 2 and an exhausted budget with exit 3;
+        # the kernel's errors are arithmetic, a bug and not bad input
+        defined = {obj: module for module in (exactalg, groth, stringy, oracle, cli)
+                   for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__}
+        assert sorted(cls.__name__ for cls in defined) == [
+            "BudgetExceeded", "DivisionByZero", "EvalAtZeroWithNegativeExponent",
+            "InvalidInput", "NotPolynomial", "UnsupportedPrime"]
+        for cls, module in defined.items():
+            kinds = ArithmeticError if module is exactalg else (groth.InvalidInput,
+                                                                 groth.BudgetExceeded)
+            assert issubclass(cls, kinds), cls
+
+    @pytest.mark.parametrize("function,args,message", [
+        (groth.class_gl, (-1,), "d must be nonnegative"),
+        (groth.gauss_binomial, (3, 2), "need 0 <= d <= k, got d=3, k=2"),
+        (groth.class_independent_tuples, (3, 2), "need 0 <= d <= k, got d=3, k=2"),
+        (groth.rank_stratum_class, (2, 3, 3), "need 0 <= j <= min(r, s), got j=3"),
+        (groth.rank_identity_check, (2, 3), "need 1 <= k <= r, got r=2, k=3"),
+        (oracle.rank_census, (2, -1, 3), "need r >= 0 and s >= 0, got r=-1, s=3"),
+        (stringy.hodge_table, (q_pow(-1),), "stringy Hodge numbers need a polynomial"),
+        (stringy.hodge_table, (LaurentPoly({0: Fraction(1, 2)}),),
+         "non-integer coefficient 1/2 at q^0"),
+    ], ids=["gl", "gauss_binomial", "independent_tuples", "rank_stratum", "rank_identity",
+            "rank_census", "hodge_laurent", "hodge_fraction"])
+    def test_bad_parameters_are_invalid_input(self, function, args, message):
+        with pytest.raises(groth.InvalidInput) as raised:
+            function(*args)
+        assert str(raised.value) == message
 
     def test_mismatch_ends_the_oracle_command(self, monkeypatch, capsys):
-        # one ordered basis of F_2^1 against a wrong count of 4 base changes
-        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
-        code, out, err = run(["oracle", "--p", "2", "--rmax", "2"], capsys)
-        assert code == EXIT_FAIL
-        assert out == "estimated candidates: 22\n"
-        assert err.splitlines() == ["mismatch: 1 ordered bases of 1-subspaces of F_2^1 "
-                                    "are not a multiple of 4 base changes"]
+        out = self.check_wrong_census(["oracle"], monkeypatch, capsys)
+        assert out.splitlines()[0] == "estimated candidates: 22"
 
-    def test_mismatch_fails_the_oracle_suite(self, monkeypatch, capsys):
-        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
-        code, out, err = run(["verify", "--suite", "oracle", "--p", "2", "--rmax", "2"], capsys)
-        assert code == EXIT_FAIL
-        assert out.splitlines() == ["FAIL  oracle_certification  (1 ordered bases of "
-                                    "1-subspaces of F_2^1 are not a multiple of 4 base "
-                                    "changes)"]
-        assert err == ""
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "oracle"]], ids=["verify"])
+    def test_wrong_census_fails_exactly_its_dependents(self, argv, monkeypatch, capsys):
+        out = self.check_wrong_census(argv, monkeypatch, capsys)
+        assert not out.startswith("estimated")
+
+    @staticmethod
+    def check_wrong_census(argv, monkeypatch, capsys) -> str:
+        # 4 invertible 1 x 1 matrices over F_2: the 3 ordered bases of lines in
+        # F_2^2 over 4 base changes is a failing check, not the end of the run
+        rank_census = oracle.rank_census
+
+        def census(p, r, s, budget):
+            if (p, r, s) == (2, 1, 1):
+                return oracle.RankCensus(MappingProxyType({0: 1, 1: 4}))
+            return rank_census(p, r, s, budget)
+
+        monkeypatch.setattr(oracle, "rank_census", census)
+        code, out, err = run(argv + ["--p", "2", "--rmax", "2"], capsys)
+        assert (code, err) == (EXIT_FAIL, "")
+        lines = [line for line in out.splitlines() if not line.startswith("estimated")]
+        failed = [line for line in lines if not line.startswith("pass")]
+        assert failed == [
+            "FAIL  gl(1) at q=2  (class value 1 != count 4)",
+            "FAIL  independent_tuples(1,1) at q=2  (class value 1 != count 4)",
+            "FAIL  grassmannian(1,2) at q=2  (class value 3 != count 3/4)",
+            "FAIL  rank_stratum(1,1,1) at q=2  (class value 1 != count 4)",
+            "FAIL  rank_bounded(1,1,<= 1) at q=2  (class value 2 != count 5)",
+        ]
+        # every other check is listed as it is on a correct census, in its place
+        failed_names = [line.split("  ")[1] for line in failed]
+        assert [line for line in lines if line not in failed] == [
+            line for line in ORACLE_P2_RMAX_2.splitlines()[1:]
+            if line.split("  ")[1] not in failed_names]
+        return out
+
+
+def bad_input_grid():
+    """Small, zero and negative arguments over every command and suite."""
+    small = [str(n) for n in range(-1, 4)]
+    for r, k, variety in itertools.product(small, small, cli.VARIETIES):
+        yield ["compute", "--r", r, "--k", k, "--variety", variety]
+    for suite in ("identities", "oracle", "orbits", "zeta", "all"):
+        for rmax, p in itertools.product(small, ["-1", "0", "1", "2", "4", "9"]):
+            yield ["verify", "--suite", suite, "--rmax", rmax, "--p", p]
+        for flag, value in [("--budget", "-1"), ("--budget", "0"), ("--budget", "1"),
+                            ("--order", "-1"), ("--order", "0")]:
+            yield ["verify", "--suite", suite, "--rmax", "2", flag, value]
+    for rmax, fmt in itertools.product(small, ["json", "csv", "latex"]):
+        yield ["table", "--rmax", rmax, "--format", fmt]
+    for r, order in itertools.product(small, small[:4]):
+        yield ["zeta", "--r", r, "--order", order]
+    for p, rmax in itertools.product(["-1", "0", "1", "2", "3", "4", "9", "11"], small):
+        yield ["oracle", "--p", p, "--rmax", rmax]
+    for budget in ("-1", "0", "1", "21"):
+        yield ["oracle", "--p", "2", "--rmax", "2", "--budget", budget]
+
+
+def test_bad_input_never_ends_in_a_traceback(capsys):
+    runs = 0
+    for argv in bad_input_grid():
+        code, _, err = run(argv, capsys)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), argv
+        assert len([line for line in err.splitlines()
+                    if not line.startswith("note:")]) <= 1, (argv, err)
+        runs += 1
+    assert runs == 304

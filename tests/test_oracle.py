@@ -1,20 +1,19 @@
 """Tests for the finite-field brute-force oracle."""
 import itertools
 from collections import Counter
+from fractions import Fraction
 from operator import add
 
 import pytest
 
 from stringydet import groth, oracle
 from stringydet.exactalg import ONE
-from stringydet.groth import InvalidRank, class_gl, gauss_binomial
+from stringydet.groth import InvalidInput, class_gl, gauss_binomial
 from stringydet.oracle import (
     BudgetExceeded,
-    MismatchFound,
     UnsupportedPrime,
     census_candidates,
     check_prime,
-    count_subspaces,
     rank_census,
     verify_classes,
 )
@@ -180,13 +179,8 @@ class TestCensus:
     def test_negative_dimension_rejected(self):
         # a budget of 0 shows the shape is checked before the budget
         for r, s in ((-1, 3), (2, -1), (-1, -1)):
-            with pytest.raises(InvalidRank, match=f"got r={r}, s={s}"):
+            with pytest.raises(InvalidInput, match=f"got r={r}, s={s}"):
                 rank_census(2, r, s, budget=0)
-        # the shortcuts for d == 0 and d > n come after the shape check
-        for d, n in ((-1, 3), (2, -1), (0, -1), (-1, -3)):
-            with pytest.raises(InvalidRank):
-                count_subspaces(2, d, n)
-        assert count_subspaces(2, 3, 2) == 0
 
     def test_counts_are_read_only(self):
         # every caller shares the cached census, so no caller may alter it
@@ -248,22 +242,38 @@ class TestCensus:
         assert all(oracle._completion_memo[key] == ways for key, ways in completions.items())
 
 
+def subspaces(p: int, d: int, n: int) -> Fraction:
+    """d-subspaces of F_p^n as ``verify_classes`` counts them: ordered bases over
+    base changes, both read from the census."""
+    return Fraction(rank_census(p, d, n).counts[d], rank_census(p, d, d).counts[d])
+
+
 class TestSubspaces:
     def test_2_of_4_mod_2(self):
-        assert count_subspaces(2, 2, 4) == 35 == gauss_binomial(2, 4).evaluate(2)
+        assert subspaces(2, 2, 4) == 35 == gauss_binomial(2, 4).evaluate(2)
 
     def test_trivial_subspace(self):
-        assert count_subspaces(3, 0, 4) == 1
+        assert subspaces(3, 0, 4) == 1
 
     def test_lines_in_3_space_mod_3(self):
-        assert count_subspaces(3, 1, 3) == 13 == (3 ** 3 - 1) // (3 - 1)
+        assert subspaces(3, 1, 3) == 13 == (3 ** 3 - 1) // (3 - 1)
 
-    def test_indivisible_base_count_raises(self, monkeypatch):
-        # 210 ordered bases of planes in F_2^4 against a wrong count of 4
-        # base changes; the check must survive python -O
-        monkeypatch.setattr(oracle, "count_invertible", lambda p, d, budget: 4)
-        with pytest.raises(MismatchFound):
-            count_subspaces(2, 2, 4)
+    def test_indivisible_base_count_fails_the_grassmannian_check(self, monkeypatch):
+        # 210 ordered bases of planes in F_2^4 against a wrong count of 4 base
+        # changes; a recorded check, not an assert, so it survives python -O
+        census = oracle.rank_census
+
+        def wrong(p, r, s, budget):
+            if (p, r, s) == (2, 2, 2):
+                return oracle.RankCensus({0: 1, 1: 11, 2: 4})
+            return census(p, r, s, budget)
+
+        monkeypatch.setattr(oracle, "rank_census", wrong)
+        report = verify_classes(2, 4)
+        assert not report.passed
+        details = {name: (ok, text) for name, ok, text in report.checks}
+        assert details["grassmannian(2,4) at q=2"] == (False, "class value 35 != count 105/2")
+        assert details["grassmannian(1,4) at q=2"] == (True, "15")
 
 
 class TestVerifyClasses:
