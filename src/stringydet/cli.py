@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+_ORACLE_RMAX = 4  # the largest r of the oracle suite, whose censuses grow as p^(r^2)
 
 # The closed form and the orbit route of each variety, by name in ``stringy``:
 # looked up at call time, so a wrapped or patched route is the one that runs.
@@ -160,7 +161,7 @@ def suite_zeta(rmax: int, order: int) -> list:
 
 def suite_oracle(p: int, rmax: int, budget: int) -> list:
     from . import oracle
-    return oracle.verify_classes(p, _clamp("oracle", rmax, 4), budget).checks
+    return oracle.verify_classes(p, _clamp("oracle", rmax, _ORACLE_RMAX), budget).checks
 
 
 def _clamp(suite: str, rmax: int, cap: int) -> int:
@@ -279,14 +280,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command in ("verify", "oracle"):
-            if args.budget is not None and args.budget < 0:
-                raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
-            if args.command == "oracle" or args.suite in ("oracle", "all"):
-                from . import oracle
-                oracle.check_prime(args.p)
-                if args.budget is None:
-                    args.budget = oracle.DEFAULT_BUDGET
+        for flag in ("budget", "order"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise InvalidInput(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+        if args.command == "oracle" or getattr(args, "suite", None) in ("oracle", "all"):
+            from . import oracle
+            oracle.check_prime(args.p)
+            if args.budget is None:
+                args.budget = oracle.DEFAULT_BUDGET
+            if args.command == "verify":  # refused before any suite runs
+                n = oracle.census_candidates(args.p, min(args.rmax, _ORACLE_RMAX), args.budget)
+                oracle._check_budget(n, args.budget)
         if args.command == "compute":
             record = compute_record(args.r, args.k, args.variety)
             if args.format == "json":

@@ -245,8 +245,8 @@ def _dense(p: LaurentPoly) -> list:
     return out
 
 
-def _from_dense(coeffs: list) -> LaurentPoly:
-    return _raw({i: _norm(c) for i, c in enumerate(coeffs) if c})
+def _from_dense(coeffs: list, low: int = 0) -> LaurentPoly:
+    return _raw({i: c if type(c) is int else _norm(c) for i, c in enumerate(coeffs, low) if c})
 
 
 def _trim(coeffs: list) -> list:

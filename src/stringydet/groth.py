@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import sub
 
 from .exactalg import (DivisionByZero, LaurentPoly, NotPolynomial, ONE, ZERO, _dense,
                        _from_dense, q_pow)
@@ -35,28 +36,24 @@ def partition_tails(k: int, cap: int):
         yield tuple(reversed(c))
 
 
-def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
-    """``base`` times the product of q^a - 1 over the exponents a, in order."""
-    result = base
+def _times_factors(coeffs: list, exponents) -> list:
+    """The coefficient list ``coeffs`` times q^a - 1 for each exponent a, one subtraction each."""
     for a in exponents:
-        result = result.shift(a) - result
-    return result
+        if a < 0:
+            raise InvalidInput(f"exponents must be positive, got {a}")
+        coeffs = list(map(sub, [0] * a + coeffs, coeffs + [0] * a))
+    return coeffs
 
 
-def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
-    """``num`` over the product of q^a - 1 for a in exponents, the inverse of
-    ``q_factor_product``; NotPolynomial if that is not exact. Per factor it is one
-    bottom-up pass Q_e = Q_{e-a} - num_e (a running sum per residue class mod a,
-    over 1 - q^a, the sign restored at the end), whose top a coefficients must vanish."""
+def _over_factors(coeffs: list, exponents) -> list:
+    """``coeffs``, consumed, over q^a - 1 for each exponent a: per factor a running sum per
+    residue class mod a (over 1 - q^a), whose top a entries must vanish, else NotPolynomial."""
     exponents = list(exponents)
     for a in exponents:
         if a == 0:
             raise DivisionByZero("q^0 - 1 is the zero polynomial")
         if a < 0:
-            raise ValueError(f"exponents must be positive, got {a}")
-    if num.is_zero():
-        return ZERO
-    coeffs = _dense(num)
+            raise InvalidInput(f"exponents must be positive, got {a}")
     for a in exponents:
         for j in range(min(a, len(coeffs))):
             coeffs[j::a] = itertools.accumulate(coeffs[j::a])
@@ -64,9 +61,23 @@ def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
         if any(coeffs[top:]):
             raise NotPolynomial(f"not divisible by q^{a} - 1")
         del coeffs[top:]
-    if len(exponents) % 2:
-        coeffs = [-c for c in coeffs]
-    return _from_dense(coeffs).shift(num.order())
+    return [-c for c in coeffs] if len(exponents) % 2 else coeffs
+
+
+def _factor_ratio(p: LaurentPoly, times, over=()) -> LaurentPoly:
+    """``p`` times q^a - 1 for a in ``times``, over q^a - 1 for a in ``over``, on one list."""
+    coeffs = _over_factors(_times_factors(_dense(p), times), over)
+    return ZERO if p.is_zero() else _from_dense(coeffs, p.order())
+
+
+def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
+    """``base`` times the product of q^a - 1 over the exponents a, in order."""
+    return _factor_ratio(base, exponents)
+
+
+def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
+    """``num`` over the product of q^a - 1 over the exponents a; NotPolynomial if not exact."""
+    return _factor_ratio(num, (), exponents)
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +85,7 @@ def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
-    return q_factor_product(range(1, d + 1)).shift(d * (d - 1) // 2)
+    return _from_dense(_times_factors([1], range(1, d + 1)), d * (d - 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +98,10 @@ def gauss_binomial(d: int, k: int) -> LaurentPoly:
     if d < 0 or k < 0 or d > k:
         raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
     d = min(d, k - d)
-    result = ONE
+    coeffs = [1]
     for j in range(1, d + 1):
-        result = q_factor_quotient([j], q_factor_product([j + k - d], result))
-    return result
+        coeffs = _over_factors(_times_factors(coeffs, [j + k - d]), [j])
+    return _from_dense(coeffs)
 
 
 @lru_cache(maxsize=None)

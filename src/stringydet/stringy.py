@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .exactalg import LaurentPoly, ONE, ZERO
-from .groth import (InvalidInput, class_gl, gauss_binomial, partition_tails, q_factor_product,
-                    q_factor_quotient)
+from .exactalg import LaurentPoly, ONE, ZERO, _norm
+from .groth import (InvalidInput, _factor_ratio, class_gl, gauss_binomial, partition_tails,
+                    q_factor_product, q_factor_quotient)
 
 
 class HodgeTable(namedtuple("HodgeTable", "diag")):
@@ -81,11 +81,11 @@ def log_discrepancies(r: int, k: int):
 
 # -- chain sums ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _step_class(d: int, b: int) -> LaurentPoly:
-    """[GL_d][G(d, b)]^2, the class of a chain step b - d -> b; [GL_d][G(d, b)] is
-    q^{d(d-1)/2} prod_{b-d < i <= b} (q^i - 1), the class of injective maps k^d -> k^b."""
-    return q_factor_product(range(b - d + 1, b + 1), gauss_binomial(d, b)).shift(d * (d - 1) // 2)
+def _times_step(p: LaurentPoly, d: int, b: int, skipped=()) -> LaurentPoly:
+    """p times q^a - 1 for a in ``skipped`` and [GL_d][G(d, b)]^2, the class of a chain step
+    b - d -> b, where [GL_d][G(d, b)] = q^{d(d-1)/2} prod_{b-d < i <= b} (q^i - 1)."""
+    return _factor_ratio(p, [*skipped, *range(b - d + 1, b + 1), *range(max(d, b - d) + 1, b + 1)],
+                         range(1, min(d, b - d) + 1)).shift(d * (d - 1) // 2)
 
 
 def _orbit_chain_sum(r: int, k: int):
@@ -111,7 +111,7 @@ def _orbit_chain_sum(r: int, k: int):
     for b in range(start + 1, r + 1):
         total = ZERO
         for a in range(start, b):
-            total = total + q_factor_product(skipped(a, b), paths[a] * _step_class(b - a, b))
+            total = total + _times_step(paths[a], b - a, b, skipped(a, b))
         paths[b] = total
     return paths[r], skipped(start, r + 1)
 
@@ -146,8 +146,8 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
     total = ZERO
     for m in range(r - k, r):
         # times (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
-        term = q_factor_product([*range(m + 1, r + 1)] * 2, grassmannian_recursive(m, k + m - r))
-        term = q_factor_quotient(range(1, r - m + 1), term)
+        term = _factor_ratio(grassmannian_recursive(m, k + m - r), [*range(m + 1, r + 1)] * 2,
+                             range(1, r - m + 1))
         total = total + term.shift((r - m) * (r - m - 1) // 2)
     return q_factor_quotient([k * r], total)
 
@@ -168,7 +168,7 @@ def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
 def _ladder(n: int, p: LaurentPoly) -> LaurentPoly:
     """(1 + q + ... + q^{n-1}) p, [P^{n-1}] times p: (q^n - 1) p over q - 1, which is
     a running sum of the coefficients, O(deg p + n)."""
-    return q_factor_quotient([1], q_factor_product([n], p))
+    return _factor_ratio(p, [n], [1])
 
 
 def stringy_e_projective(r: int, k: int) -> LaurentPoly:
@@ -204,8 +204,8 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
 
 
 def stringy_euler(p: LaurentPoly) -> int | Fraction:
-    """Value at q = 1 (the u, v -> 1 limit for polynomial inputs)."""
-    return p.evaluate(1)
+    """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial)."""
+    return _norm(sum(p.terms.values()))
 
 
 # -- resolution route ---------------------------------------------------------
@@ -347,7 +347,7 @@ def zeta_closed_expansion(r: int, order: int) -> tuple:
         for a in range(b):
             for t, c in paths[a].items():
                 if t + b <= limit:  # else no arrival at b fits the truncation
-                    reached[t] = reached.get(t, ZERO) + c * _step_class(b - a, b)
+                    reached[t] = reached.get(t, ZERO) + _times_step(c, b - a, b)
         arrived = {}
         for t, c in reached.items():
             for j in range(1, (limit - t) // b + 1):

@@ -9,7 +9,8 @@ reads one name from the package: ``RankCensus.counts`` (census),
 
 Every operation of ``bench/run.py`` also runs here in a fresh process, as the
 benchmark runs it, and ``bench/checks.py`` checks its output; so does
-``bench/selftest.py``. In this process every module is loaded already, so a
+``bench/selftest.py``. The sha256 of each operation's stdout is pinned as well.
+In this process every module is loaded already, so a
 command that lost an import it needs fails only there. The oracle checker
 also runs, in this process, on four grids beyond the census workload's.
 
@@ -19,6 +20,7 @@ output fails ``checks.check``, or when a workload's layer self times miss its
 in-process time by more than 10 %. The kernel probe, the traced replay of every
 workload and that accounting run here too.
 """
+import hashlib
 import json
 import os
 import pathlib
@@ -37,6 +39,27 @@ import checks
 import run
 
 OPERATIONS = {f"{name}:{' '.join(op)}": op for name, ops in run.WORKLOADS.items() for op in ops}
+
+# sha256 of each operation's stdout: a change to any coefficient, Euler number or
+# layout of a benchmarked output shows here
+STDOUT_SHA256 = {
+    "compute --r 7 --k 6 --variety affine --format json":
+        "bfd11c09e31477710362398e4bdc660858fe52f659346f5d69f77fb4b7a328cf",
+    "compute --r 7 --k 6 --variety projective --format json":
+        "f11bfbf478f8479a7ccff7ba183f866db66a181fdb9b9b38ecdbf980d2ef3f3c",
+    "zeta --r 7 --order 10 --format json":
+        "52b33f6316330b5c8d8c0109a7f82b443c64302deb3d6be794e1474b5d657c28",
+    "verify --suite identities --rmax 6":
+        "9ce54dbda2abd1de96459422e86e0258ada5c3da78b093c223f912d7aa6fa7a1",
+    "verify --suite orbits --rmax 4":
+        "ebb6b9406b2eebb6d4339bbf83f5be0f5a80c329e4cb2d274b283666a33cbbf9",
+    "table --rmax 13 --variety both --format json":
+        "e679d2db4b8036f72676432ea71874ae9a7abf31b4f34c73ca6792f8153a3464",
+    "oracle --p 3 --rmax 3":
+        "7d3dae73aa9351b44d5539ba72087274e5160b2bc6ccdcebe12a668f7dc66095",
+    "oracle --p 2 --rmax 4":
+        "eb313857bae203e72fd6609f1980b30432e4fd1e1c47224f2d116a4e869349c2",
+}
 
 
 def bench_json(script: str, *argv: str) -> dict:
@@ -112,6 +135,12 @@ def test_benchmark_operation_runs_cold(op):
     proc = subprocess.run([sys.executable, "-m", "stringydet.cli", *op], cwd=ROOT, env=ENV,
                           capture_output=True, text=True, timeout=120)
     checks.check(op, proc.returncode, proc.stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[" ".join(op)]
+
+
+def test_every_benchmark_operation_is_pinned():
+    assert sorted(STDOUT_SHA256) == sorted(" ".join(op) for op in OPERATIONS.values())
 
 
 def test_checker_selftest_passes():

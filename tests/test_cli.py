@@ -533,12 +533,45 @@ class TestCommandErrors:
         (stringy.hodge_table, (q_pow(-1),), "stringy Hodge numbers need a polynomial"),
         (stringy.hodge_table, (LaurentPoly({0: Fraction(1, 2)}),),
          "non-integer coefficient 1/2 at q^0"),
+        (groth.q_factor_quotient, ([-1], q_pow(1) - 1), "exponents must be positive, got -1"),
+        (groth.q_factor_product, ([-1],), "exponents must be positive, got -1"),
     ], ids=["gl", "gauss_binomial", "independent_tuples", "rank_stratum", "rank_identity",
-            "rank_census", "hodge_laurent", "hodge_fraction"])
+            "rank_census", "hodge_laurent", "hodge_fraction", "factor_quotient",
+            "factor_product"])
     def test_bad_parameters_are_invalid_input(self, function, args, message):
         with pytest.raises(groth.InvalidInput) as raised:
             function(*args)
         assert str(raised.value) == message
+
+    def test_layers_raise_only_the_command_and_kernel_errors(self):
+        # a bare ValueError or ArithmeticError from a layer would end a command in a
+        # traceback; every raise names one of these classes
+        allowed = {"InvalidInput", "UnsupportedPrime", "BudgetExceeded", "NotPolynomial",
+                   "DivisionByZero"}
+        for module in (groth, stringy, oracle):
+            raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                      for node in ast.walk(ast.parse(inspect.getsource(module)))
+                      if isinstance(node, ast.Raise)]
+            assert raised, module
+            assert {ast.unparse(exc) for exc in raised} <= allowed, module
+
+    @pytest.mark.parametrize("argv,code,message", [
+        ("verify --suite all --rmax 12 --order -1", EXIT_USAGE,
+         "--order must be nonnegative, got -1"),
+        ("verify --suite all --rmax 5 --budget 0", EXIT_BUDGET,
+         "the 4 x 4 census alone has 2^16 candidates, above the budget 0"),
+        ("verify --suite all --rmax 5 --p 3 --budget 40000000", EXIT_BUDGET,
+         "43605336 candidates exceed the budget 40000000"),
+    ], ids=["order", "budget_exponent", "budget_total"])
+    def test_verify_refuses_bad_arguments_before_any_suite(self, argv, code, message,
+                                                           monkeypatch, capsys):
+        # the oracle budget is checked on the clamped r_max, 4, with no note
+        def suite(*args):
+            raise AssertionError("a suite ran")
+
+        for name in ("suite_identities", "suite_orbits", "suite_zeta", "suite_oracle"):
+            monkeypatch.setattr(cli, name, suite)
+        assert run(argv.split(), capsys) == (code, "", f"error: {message}\n")
 
     def test_mismatch_ends_the_oracle_command(self, monkeypatch, capsys):
         out = self.check_wrong_census(["oracle"], monkeypatch, capsys)

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from stringydet.exactalg import DivisionByZero, NotPolynomial, ONE, ZERO, LaurentPoly, q_pow
+from stringydet.exactalg import (DivisionByZero, NotPolynomial, ONE, ZERO, LaurentPoly,
+                                 _from_dense, q_pow)
 from stringydet.groth import (
     InvalidInput,
     class_gl,
@@ -49,10 +50,74 @@ def gauss_binomial_long_division(d: int, k: int) -> LaurentPoly:
     return num.divide_exact(q_factor_product(range(1, d + 1)))
 
 
+def factor_product_by_terms(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
+    """base times the product of q^a - 1, one sparse shift and subtraction per factor:
+    the reference for the dense core of q_factor_product and q_factor_quotient."""
+    result = base
+    for a in exponents:
+        result = result.shift(a) - result
+    return result
+
+
 coefficients = st.one_of(st.integers(-10 ** 20, 10 ** 20),
                          st.fractions(max_denominator=30))
 laurent_polys = st.dictionaries(st.integers(-9, 12), coefficients, max_size=8).map(LaurentPoly)
+int_polys = st.dictionaries(st.integers(-9, 12), st.integers(-10 ** 20, 10 ** 20),
+                            max_size=8).map(LaurentPoly)
 factor_exponents = st.lists(st.integers(1, 7), max_size=5)  # repeats included
+
+
+def all_int(p: LaurentPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def normalised(p: LaurentPoly) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+class TestDenseCore:
+    # the zero polynomial, negative orders, Fraction coefficients and repeated
+    # exponents are all drawn
+    @given(laurent_polys, st.lists(st.integers(0, 7), max_size=5))
+    def test_product_matches_the_sparse_loop(self, base, exponents):
+        product = q_factor_product(exponents, base)
+        assert product == factor_product_by_terms(exponents, base)
+        assert normalised(product)
+
+    @given(laurent_polys, factor_exponents)
+    def test_quotient_undoes_the_sparse_loop(self, base, exponents):
+        quotient = q_factor_quotient(exponents, factor_product_by_terms(exponents, base))
+        assert quotient == base
+        assert normalised(quotient)
+
+    @given(int_polys, factor_exponents)
+    def test_int_inputs_give_int_outputs(self, base, exponents):
+        product = q_factor_product(exponents, base)
+        assert all_int(product)
+        assert all_int(q_factor_quotient(exponents, product))
+
+    @given(st.lists(coefficients, max_size=8), st.integers(-9, 9))
+    def test_from_dense_takes_the_order(self, coeffs, low):
+        p = _from_dense(coeffs, low)
+        assert p == _from_dense(coeffs).shift(low)
+        assert normalised(p)
+        assert _from_dense([Fraction(4, 2), Fraction(1, 2)], low).terms == {
+            low: 2, low + 1: Fraction(1, 2)}
+
+    def test_zero_exponent_product_is_zero(self):
+        assert q_factor_product([0]) == ZERO
+        assert q_factor_product([2, 0, 3], LaurentPoly({-1: Fraction(1, 3)})) == ZERO
+
+    @pytest.mark.parametrize("call", [lambda: q_factor_product([-1]),
+                                      lambda: q_factor_product([2, -1], ZERO),
+                                      lambda: q_factor_quotient([2, -1], ZERO)],
+                             ids=["product", "product_of_zero", "quotient_of_zero"])
+    def test_negative_exponent_is_invalid_input(self, call):
+        # padding a list by a negative length would misalign it, so it is refused,
+        # also where the base is zero
+        with pytest.raises(InvalidInput, match="exponents must be positive, got -1"):
+            call()
 
 
 class TestQFactorQuotient:
@@ -66,7 +131,7 @@ class TestQFactorQuotient:
     @given(laurent_polys, factor_exponents)
     def test_agrees_with_divide_exact_on_any_input(self, num, exponents):
         try:
-            want = num.divide_exact(q_factor_product(exponents))
+            want = num.divide_exact(factor_product_by_terms(exponents))
         except NotPolynomial:
             with pytest.raises(NotPolynomial):
                 q_factor_quotient(exponents, num)
@@ -86,7 +151,7 @@ class TestQFactorQuotient:
 
     def test_negative_exponent_is_rejected(self):
         # q^{-1} - 1 = -q^{-1}(q - 1) would divide, but the exponents must be positive
-        with pytest.raises(ValueError, match="exponents must be positive"):
+        with pytest.raises(InvalidInput, match="exponents must be positive"):
             q_factor_quotient([-1], Q - 1)
 
     def test_int_inputs_stay_int(self):

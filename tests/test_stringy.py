@@ -6,12 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from stringydet import stringy
 from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
 from stringydet.groth import class_gl, gauss_binomial, partition_tails, q_factor_product
 from stringydet.stringy import (
     _ladder,
     _orbit_chain_sum,
-    _step_class,
     HodgeTable,
     InvalidInput,
     ResolutionData,
@@ -130,6 +130,15 @@ def subset_sum_numerator(r, k):
 
 
 class TestChainSum:
+    @given(laurent_polys, st.integers(0, 9), st.integers(0, 9),
+           st.lists(st.integers(1, 12), max_size=3))
+    def test_step_matches_its_class(self, p, d, extra, skipped):
+        # the step b - d -> b applied on one coefficient list, against the product of
+        # p and [GL_d][G(d, b)]^2 built from the class builders
+        b = d + extra
+        want = p * class_gl(d) * gauss_binomial(d, b) ** 2 * q_factor_product(skipped)
+        assert stringy._times_step(p, d, b, skipped) == want
+
     def test_matches_subset_enumeration(self):
         for r in range(2, 8):
             for k in range(1, r):
@@ -197,6 +206,26 @@ class TestHodgeAndEuler:
                 assert stringy_euler(stringy_e_affine(r, k)) == comb(r, k)
                 assert stringy_euler(stringy_e_projective(r, k)) == k * r * comb(r, k)
         assert stringy_euler(ONE) == 1
+
+    def test_euler_is_the_value_at_one_on_the_table_grid(self):
+        for r in range(2, 14):
+            for k in range(1, r):
+                for p in (stringy_e_affine(r, k), stringy_e_projective(r, k)):
+                    euler = stringy_euler(p)
+                    assert euler == p.evaluate(1) and type(euler) is int, (r, k)
+
+    @given(laurent_polys)
+    def test_euler_is_the_value_at_one(self, p):
+        euler = stringy_euler(p)
+        assert euler == p.evaluate(1)
+        assert type(euler) is type(p.evaluate(1))
+
+    def test_integral_fraction_sum_is_an_int(self):
+        for p in (LaurentPoly({-2: Fraction(1, 2), 3: Fraction(1, 2)}),
+                  LaurentPoly({0: Fraction(1, 3), 1: Fraction(2, 3), 4: 5}),
+                  LaurentPoly({1: Fraction(1, 2), 2: Fraction(-1, 2)})):
+            euler = stringy_euler(p)
+            assert euler == p.evaluate(1) and type(euler) is int, p
 
 
 class TestResolutionRoute:
@@ -356,11 +385,19 @@ class TestZeta:
             series = zeta_closed_expansion(r, 6)
             assert series == tuple(zeta_coefficient_direct(r, n) for n in range(7))
 
-    def test_closed_expansion_builds_only_the_steps_it_uses(self):
-        # a step class is built only for a path term that fits the truncation
-        _step_class.cache_clear()
+    def test_closed_expansion_builds_only_the_steps_it_uses(self, monkeypatch):
+        # a step is applied only to a path term that fits the truncation: at r = 30,
+        # order 2, the steps 0 -> 1 and 0 -> 2, then 0, 1 (twice) and 2 -> 30, of the
+        # 465 steps a -> b
+        steps, times_step = [], stringy._times_step
+
+        def counted(p, d, b, *skipped):
+            steps.append((b - d, b))
+            return times_step(p, d, b, *skipped)
+
+        monkeypatch.setattr(stringy, "_times_step", counted)
         series = zeta_closed_expansion(30, 2)
-        assert _step_class.cache_info().currsize <= 5
+        assert sorted(steps) == [(0, 1), (0, 2), (0, 30), (1, 30), (1, 30), (2, 30)]
         assert series == tuple(zeta_coefficient_direct(30, n) for n in range(3))
 
     def test_out_of_range_coefficient(self):
