@@ -1,7 +1,8 @@
 """Command-line front end: compute invariants, verify identities, emit tables.
 
-Exit statuses: 0 success, 1 verification failure, 2 usage error (a bad
-argument, or a grid that holds no check), 3 enumeration budget exceeded.
+Exit statuses: 0 success, 1 verification failure, 2 usage error (a malformed
+command line, a bad argument, or a grid that holds no check), 3 enumeration
+budget exceeded. ``-h`` or ``--help`` prints the usage read from ``COMMANDS``.
 
 A command loads only the layers it runs: ``stringy`` for the routes, ``oracle``
 for the counts over F_p and ``json`` for JSON output are imported where used.
@@ -11,9 +12,10 @@ layer raised it. A disagreement never ends a command: it is a failing check.
 """
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
 from math import comb
+from types import SimpleNamespace
 
 from .exactalg import LaurentPoly
 from .groth import (BudgetExceeded, InvalidInput, gauss_binomial, q_factor_product,
@@ -231,55 +233,68 @@ def _render_table(rows: list, fmt: str) -> str:
 
 # -- argument parsing ---------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stringy-det",
-        description="Exact stringy invariants of rank-bounded matrix varieties.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
+# command -> flag -> (int, or the tuple of its choices; its default, or REQUIRED)
+COMMANDS = {
+    "compute": {"r": (int, REQUIRED), "k": (int, REQUIRED),
+                "variety": (tuple(VARIETIES), "affine"), "format": (("json", "text"), "text")},
+    "verify": {"suite": (("identities", "oracle", "orbits", "zeta", "all"), "all"),
+               "rmax": (int, 5), "p": (int, 2), "order": (int, 4), "budget": (int, None)},
+    "table": {"rmax": (int, REQUIRED), "format": (("json", "csv", "latex"), "csv"),
+              "variety": (("affine", "projective", "both"), "affine")},
+    "zeta": {"r": (int, REQUIRED), "order": (int, 4), "format": (("json", "text"), "text")},
+    "oracle": {"p": (int, REQUIRED), "rmax": (int, REQUIRED), "budget": (int, None)},
+}
 
-    p_compute = sub.add_parser("compute", help="compute invariants for one (r, k)")
-    p_compute.add_argument("--r", type=int, required=True)
-    p_compute.add_argument("--k", type=int, required=True)
-    p_compute.add_argument("--variety", choices=["affine", "projective"],
-                           default="affine")
-    p_compute.add_argument("--format", choices=["json", "text"], default="text")
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite",
-                          choices=["identities", "oracle", "orbits", "zeta", "all"],
-                          default="all")
-    p_verify.add_argument("--rmax", type=int, default=5)
-    p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--order", type=int, default=4)
-    p_verify.add_argument("--budget", type=int)
+def _usage(*commands: str) -> str:
+    """One usage line per command, read from ``COMMANDS``."""
+    def spec(flag, kind, default):
+        text = f"--{flag} " + ("N" if kind is int else "{" + ",".join(kind) + "}")
+        return text if default is REQUIRED else f"[{text}]"
+    return "\n".join(f"usage: stringy-det {command} " + " ".join(
+        spec(flag, *rule) for flag, rule in COMMANDS[command].items()) for command in commands)
 
-    p_table = sub.add_parser("table", help="tabulate invariants up to rmax")
-    p_table.add_argument("--rmax", type=int, required=True)
-    p_table.add_argument("--format", choices=["json", "csv", "latex"], default="csv")
-    p_table.add_argument("--variety", choices=["affine", "projective", "both"],
-                         default="affine")
 
-    p_zeta = sub.add_parser("zeta", help="motivic zeta series of the determinant")
-    p_zeta.add_argument("--r", type=int, required=True)
-    p_zeta.add_argument("--order", type=int, default=4)
-    p_zeta.add_argument("--format", choices=["json", "text"], default="text")
-
-    p_oracle = sub.add_parser("oracle", help="finite-field point-count certification")
-    p_oracle.add_argument("--p", type=int, required=True)
-    p_oracle.add_argument("--rmax", type=int, required=True)
-    p_oracle.add_argument("--budget", type=int)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace | None:
+    """The command and its flags, checked against ``COMMANDS``; None once ``-h`` or
+    ``--help`` has printed the usage. A malformed ``argv`` raises ``InvalidInput``."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_usage(*COMMANDS))
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise InvalidInput(f"{got}: choose from {', '.join(COMMANDS)}")
+    command, flags = argv[0], COMMANDS[argv[0]]
+    try:  # getopt takes --flag=value, unique prefixes and values such as -1
+        opts, stray = getopt.getopt(argv[1:], "h", [f"{flag}=" for flag in flags] + ["help"])
+    except getopt.GetoptError as exc:
+        raise InvalidInput(str(exc)) from None
+    if any(opt in ("-h", "--help") for opt, _ in opts):
+        print(_usage(command))
+        return None
+    if stray:
+        raise InvalidInput(f"unrecognized arguments: {' '.join(stray)}")
+    args = {flag: default for flag, (_, default) in flags.items()}
+    for opt, value in opts:  # in order, so the last of a repeated flag wins
+        flag = opt[2:]
+        kind = flags[flag][0]
+        try:  # int() and tuple.index() both raise ValueError on a bad value
+            args[flag] = int(value) if kind is int else kind[kind.index(value)]
+        except ValueError:
+            expected = "an integer" if kind is int else "one of " + ", ".join(kind)
+            raise InvalidInput(f"--{flag} must be {expected}, got {value!r}") from None
+    missing = [f"--{flag}" for flag, value in args.items() if value is REQUIRED]
+    if missing:
+        raise InvalidInput(f"missing required flags: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
         for flag in ("budget", "order"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise InvalidInput(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
@@ -290,7 +305,7 @@ def main(argv=None) -> int:
                 args.budget = oracle.DEFAULT_BUDGET
             if args.command == "verify":  # refused before any suite runs
                 n = oracle.census_candidates(args.p, min(args.rmax, _ORACLE_RMAX), args.budget)
-                oracle._check_budget(n, args.budget)
+                oracle.check_budget(n, args.budget)
         if args.command == "compute":
             record = compute_record(args.r, args.k, args.variety)
             if args.format == "json":

@@ -59,7 +59,7 @@ def _check_exponent(p: int, r: int, s: int, budget: int) -> None:
                              f"above the budget {budget}")
 
 
-def _check_budget(candidates: int, budget: int) -> None:
+def check_budget(candidates: int, budget: int) -> None:
     if candidates > budget:
         raise BudgetExceeded(f"{candidates} candidates exceed the budget {budget}")
 
@@ -80,7 +80,7 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
     if r < 0 or s < 0:
         raise InvalidInput(f"need r >= 0 and s >= 0, got r={r}, s={s}")
     _check_exponent(p, r, s, budget)
-    _check_budget(p ** (r * s), budget)
+    check_budget(p ** (r * s), budget)
     tally = _completions(p, s, r, frozenset({(0,) * s}))
     return RankCensus(MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)}))
 
@@ -152,7 +152,7 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     Each census is read once and each stratum class evaluated once.
     """
     check_prime(p)
-    _check_budget(census_candidates(p, r_max, budget), budget)
+    check_budget(census_candidates(p, r_max, budget), budget)
     sizes = range(1, r_max + 1)
     counts = {(r, s): rank_census(p, r, s, budget).counts for r in sizes for s in sizes if r <= s}
     strata = {(r, s): [rank_stratum_class(r, s, j).evaluate(p) for j in range(min(r, s) + 1)]

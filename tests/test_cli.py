@@ -1,4 +1,5 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
+import argparse
 import ast
 import inspect
 import itertools
@@ -506,7 +507,14 @@ class TestCommandErrors:
         tries = [node for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
                  if isinstance(node, ast.Try)]
         assert [[ast.unparse(h.type) for h in node.handlers] for node in tries] == [
-            ["SystemExit"], ["InvalidInput", "BudgetExceeded"]]
+            ["InvalidInput", "BudgetExceeded"]]
+
+    def test_cli_reaches_no_private_oracle_name(self):
+        names = {node.attr for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "oracle"}
+        assert "check_budget" in names
+        assert not {name for name in names if name.startswith("_")}
 
     def test_every_error_is_one_of_two_kinds(self):
         # bad input ends a command with exit 2 and an exhausted budget with exit 3;
@@ -613,8 +621,23 @@ class TestCommandErrors:
         return out
 
 
+# Command lines that no command accepts: each ends with one ``error:`` line.
+MALFORMED_ARGV = [
+    [],                                                    # no command
+    ["frobnicate", "--r", "3"],                            # an unknown command
+    ["compute", "--r", "2", "--k", "1", "--bogus", "1"],   # an unknown flag
+    ["compute", "--r", "2", "--k"],                        # a flag missing its value
+    ["oracle", "--p", "2"],                                # a missing required flag
+    ["zeta", "--r", "two"],                                # a non-integer
+    ["table", "--rmax", "3", "--format", "xml"],           # a bad choice
+    ["zeta", "--r", "2", "stray"],                         # a stray positional
+]
+
+
 def bad_input_grid():
-    """Small, zero and negative arguments over every command and suite."""
+    """Small, zero and negative arguments over every command and suite, and
+    malformed command lines."""
+    yield from MALFORMED_ARGV
     small = [str(n) for n in range(-1, 4)]
     for r, k, variety in itertools.product(small, small, cli.VARIETIES):
         yield ["compute", "--r", r, "--k", k, "--variety", variety]
@@ -639,7 +662,124 @@ def test_bad_input_never_ends_in_a_traceback(capsys):
     for argv in bad_input_grid():
         code, _, err = run(argv, capsys)
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), argv
-        assert len([line for line in err.splitlines()
-                    if not line.startswith("note:")]) <= 1, (argv, err)
+        errors = [line for line in err.splitlines() if not line.startswith("note:")]
+        assert len(errors) <= 1, (argv, err)
+        assert all(line.startswith("error: ") for line in errors), (argv, err)
         runs += 1
-    assert runs == 304
+    assert runs == 312
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=" ".join)
+def test_malformed_argv_is_one_error_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# -- the argparse parser the flag table replaced, kept as the reference --
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stringy-det",
+        description="Exact stringy invariants of rank-bounded matrix varieties.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_compute = sub.add_parser("compute", help="compute invariants for one (r, k)")
+    p_compute.add_argument("--r", type=int, required=True)
+    p_compute.add_argument("--k", type=int, required=True)
+    p_compute.add_argument("--variety", choices=["affine", "projective"],
+                           default="affine")
+    p_compute.add_argument("--format", choices=["json", "text"], default="text")
+
+    p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify.add_argument("--suite",
+                          choices=["identities", "oracle", "orbits", "zeta", "all"],
+                          default="all")
+    p_verify.add_argument("--rmax", type=int, default=5)
+    p_verify.add_argument("--p", type=int, default=2)
+    p_verify.add_argument("--order", type=int, default=4)
+    p_verify.add_argument("--budget", type=int)
+
+    p_table = sub.add_parser("table", help="tabulate invariants up to rmax")
+    p_table.add_argument("--rmax", type=int, required=True)
+    p_table.add_argument("--format", choices=["json", "csv", "latex"], default="csv")
+    p_table.add_argument("--variety", choices=["affine", "projective", "both"],
+                         default="affine")
+
+    p_zeta = sub.add_parser("zeta", help="motivic zeta series of the determinant")
+    p_zeta.add_argument("--r", type=int, required=True)
+    p_zeta.add_argument("--order", type=int, default=4)
+    p_zeta.add_argument("--format", choices=["json", "text"], default="text")
+
+    p_oracle = sub.add_parser("oracle", help="finite-field point-count certification")
+    p_oracle.add_argument("--p", type=int, required=True)
+    p_oracle.add_argument("--rmax", type=int, required=True)
+    p_oracle.add_argument("--budget", type=int)
+
+    return parser
+
+
+VALID_ARGV = [
+    "compute --r 3 --k 2",
+    "compute --r 4 --k 2 --variety projective --format json",
+    "compute --r=4 --k=2 --variety=projective --format=json",
+    "compute --var projective --for json --r 5 --k 1",
+    "compute --r -1 --k -3",
+    "compute --r 2 --k 1 --r 3 --format json --format text",
+    "verify",
+    "verify --suite oracle --p 3 --rmax 2 --budget 1000",
+    "verify --s zeta --r 2 --o -1 --b -5",
+    "verify --suite=identities --rmax=-2 --order=0",
+    "verify --rmax 9 --rmax 3 --suite zeta --suite all",
+    "table --rmax 3",
+    "table --rmax 13 --variety both --format json",
+    "table --rm=-3 --f latex --v projective",
+    "zeta --r 3",
+    "zeta --r 7 --order 10 --format json",
+    "zeta --r=-2 --o -1 --order 3",
+    "oracle --p 3 --rmax 3",
+    "oracle --p 2 --rmax 4 --budget -1",
+    "oracle --p=2 --r 2 --b 21 --budget 22",
+    "oracle --rmax 2 --p 11",
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV)
+def test_parser_agrees_with_the_reference(argv):
+    assert vars(cli.parse_args(argv.split())) == vars(reference_parser().parse_args(argv.split()))
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV + [
+    ["--r", "3"], ["compute", "--r=", "--k", "1"], ["verify", "--rmax", "1.5"],
+    ["table", "--rmax", "3", "--help=x"], ["compute", "--r", "2", "--k", "1", "-5"],
+    ["oracle", "--p", "2", "--rmax", "2", "--budget", "1e3"], ["compute"],
+    ["verify", "--suite", "orbit"], ["verify", "--budget", "2", "-", "--p", "3"],
+], ids=" ".join)
+def test_parser_refuses_what_the_reference_refuses(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        reference_parser().parse_args(argv)
+    assert refused.value.code == EXIT_USAGE
+    capsys.readouterr()
+    with pytest.raises(groth.InvalidInput):
+        cli.parse_args(argv)
+    assert main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["compute", "--help"], "usage: stringy-det compute --r N --k N "
+                            "[--variety {affine,projective}] [--format {json,text}]"),
+    (["oracle", "--p", "x", "-h"], "usage: stringy-det oracle --p N --rmax N [--budget N]"),
+    (["table", "--he"], "usage: stringy-det table --rmax N [--format {json,csv,latex}] "
+                        "[--variety {affine,projective,both}]"),
+], ids=["compute", "oracle", "prefix"])
+def test_command_help_is_its_usage_line(argv, usage, capsys):
+    assert run(argv, capsys) == (EXIT_OK, usage + "\n", "")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_tool_help_lists_every_command(flag, capsys):
+    code, out, err = run([flag], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert [line.split()[2] for line in out.splitlines()] == list(cli.COMMANDS)
+    for line in out.splitlines():
+        assert run([line.split()[2], "-h"], capsys) == (EXIT_OK, line + "\n", "")

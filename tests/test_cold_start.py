@@ -55,6 +55,13 @@ def test_package_root_loads_no_submodule():
     assert [m for m in proc.stdout.split() if m.startswith("stringydet")] == ["stringydet"]
 
 
+@pytest.mark.parametrize("argv", STRINGY_COMMANDS + ORACLE_COMMANDS + [
+    "--help", "-h", "compute --help", "oracle -h"])
+def test_no_command_loads_argparse_or_locale(argv):
+    # the command line is read by getopt; argparse would bring locale and shutil
+    assert not {"argparse", "locale", "shutil"} & loaded(argv)
+
+
 @pytest.mark.parametrize("argv", STRINGY_COMMANDS)
 def test_route_commands_leave_out_the_oracle(argv):
     modules = loaded(argv)
