@@ -2,14 +2,16 @@
 
 Sparse Laurent polynomials in one variable ``q`` with int coefficients,
 ``Fraction`` only where a value is not integral (normalised on the way in, so
-integer work stays in ``int``), and gcd-reduced rational functions.
+integer work stays in ``int``), and gcd-reduced rational functions. Every int
+path comes first, and ``fractions`` is imported only by the few branches that
+make a ``Fraction``, so a run whose values stay integral never loads it.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 
 
 class EvalAtZeroWithNegativeExponent(ZeroDivisionError):
@@ -28,10 +30,11 @@ def _norm(x):
     """The canonical coefficient: an int when the value is integral, else a Fraction."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
+    import fractions  # loaded if x is a Fraction; cheaper here than a from-import
+    if isinstance(x, fractions.Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"coefficient must be an int or Fraction, got {type(x).__name__}")
 
 
@@ -81,7 +84,7 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no order")
         return min(self._terms)
 
-    def leading_coeff(self) -> int | Fraction:
+    def leading_coeff(self) -> Rational:
         return self._terms[self.degree()]
 
     def is_polynomial(self) -> bool:
@@ -148,16 +151,16 @@ class LaurentPoly:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, x) -> int | Fraction:
+    def evaluate(self, x) -> Rational:
         """Exact value at a rational ``x``, nonzero if negative exponents occur."""
         x = _norm(x)
-        if x == 0 and not self.is_polynomial():
-            raise EvalAtZeroWithNegativeExponent(
-                "cannot evaluate at 0: negative exponents present")
-        total = 0
-        for exp, c in self._terms.items():
-            total += c * (x ** exp if exp >= 0 else Fraction(x) ** exp)
-        return _norm(total)
+        if not self.is_polynomial():
+            if x == 0:
+                raise EvalAtZeroWithNegativeExponent(
+                    "cannot evaluate at 0: negative exponents present")
+            import fractions
+            x = fractions.Fraction(x)  # a negative power of an int would be a float
+        return _norm(sum(c * x ** exp for exp, c in self._terms.items()))
 
     __call__ = evaluate
 
@@ -178,9 +181,9 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        try:
             other = _coerce(other)
-        if not isinstance(other, LaurentPoly):
+        except TypeError:  # not an int, a Fraction or a LaurentPoly
             return NotImplemented
         return self._terms == other._terms
 
@@ -225,11 +228,8 @@ def _raw(terms: dict) -> LaurentPoly:
 
 
 def _coerce(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly({0: x})
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
+    """x as a constant polynomial; a TypeError unless x is an int or a Fraction."""
+    return x if isinstance(x, LaurentPoly) else LaurentPoly({0: x})
 
 
 # -- dense helpers for division and gcd -------------------------------------
@@ -261,12 +261,15 @@ def _divmod_dense(num: list, den: list):
     dd = len(den) - 1
     lead = den[-1]
     unit = lead == 1 or lead == -1
+    if not unit:
+        import fractions
+        lead = fractions.Fraction(lead)
     quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
-        t = c * lead if unit else _norm(Fraction(c) / lead)
+        t = c * lead if unit else _norm(c / lead)
         lo = i - dd
         quot[lo] = t
         num[lo:i + 1] = [a - t * b for a, b in zip(num[lo:i + 1], den)]
@@ -285,7 +288,11 @@ def _gcd_dense(a: list, b: list) -> list:
 
 
 def _monic(coeffs: list) -> list:
-    lead = Fraction(coeffs[-1]) if coeffs else 1
+    lead = coeffs[-1] if coeffs else 1
+    if lead == 1 or lead == -1:  # c / lead is c * lead, and an int stays an int
+        return [_norm(c * lead) for c in coeffs]
+    import fractions
+    lead = fractions.Fraction(lead)
     return [_norm(c / lead) for c in coeffs]
 
 
@@ -327,8 +334,9 @@ class RationalFn:
         den = den.shift(-shift)
         lead = den.leading_coeff()
         if lead != 1:
-            num = num.scale(Fraction(1) / lead)
-            den = den.scale(Fraction(1) / lead)
+            import fractions
+            num = num.scale(fractions.Fraction(1) / lead)
+            den = den.scale(fractions.Fraction(1) / lead)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
@@ -380,9 +388,9 @@ class RationalFn:
         return _coerce_rf(other) / self
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFn(_coerce(other))
-        if not isinstance(other, RationalFn):
+        try:
+            other = _coerce_rf(other)
+        except TypeError:
             return NotImplemented
         return self._num == other._num and self._den == other._den
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 from operator import add
 from types import MappingProxyType
 
@@ -168,9 +168,12 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
         check(f"gl({d})", class_gl(d).evaluate(p), counts[d, d][d])
     for k in sizes:
         for d in range(0, k + 1):
-            # ordered bases over base changes; a wrong census may leave a fraction
+            # ordered bases over base changes in lowest terms; a wrong census may
+            # leave a fraction, written n/m, which no class value equals
+            bases, changes = (counts[d, k][d], counts[d, d][d]) if d else (1, 1)
+            g = gcd(bases, changes)
             check(f"grassmannian({d},{k})", gauss_binomial(d, k).evaluate(p),
-                  Fraction(counts[d, k][d], counts[d, d][d]) if d else 1)
+                  bases // g if g == changes else f"{bases // g}/{changes // g}")
             check(f"independent_tuples({d},{k})", class_independent_tuples(d, k).evaluate(p),
                   counts[d, k][d] if d else 1)
     for (r, s), census in counts.items():

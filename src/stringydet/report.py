@@ -1,0 +1,183 @@
+"""The route commands' records, suites of checks and tables, loaded by ``cli`` only
+for the commands that run the routes. ``groth`` and ``stringy`` are called through
+their modules, so a wrapped or patched function is the one that runs."""
+from __future__ import annotations
+
+from math import comb
+
+from . import groth, stringy
+from .exactalg import LaurentPoly
+
+# The closed form and the orbit route of each variety, by name in ``stringy``:
+# looked up at call time, so a wrapped or patched route is the one that runs.
+VARIETIES = {
+    "affine": ("stringy_e_affine", "stringy_e_affine_from_orbits"),
+    "projective": ("stringy_e_projective", "stringy_e_projective_from_orbits"),
+}
+
+
+def _routes(variety: str) -> list:
+    return [getattr(stringy, name) for name in VARIETIES[variety]]
+
+
+def _poly_pairs(p: LaurentPoly) -> list:
+    return [[exp, str(c)] for exp, c in sorted(p.terms.items())]
+
+
+def _render_uv(pairs: list) -> str:
+    """Render the [exponent, "coeff"] pairs of a polynomial in q as a polynomial in (uv)."""
+    parts = []
+    for exp, c in pairs:
+        coeff = "" if c == "1" else c
+        if exp == 0:
+            parts.append(c)
+        elif exp == 1:
+            parts.append(f"{coeff}(uv)")
+        else:
+            parts.append(f"{coeff}(uv)^{{{exp}}}")
+    return " + ".join(parts) or "0"
+
+
+def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
+             details: str = "") -> tuple:
+    """A check that two routes agree; a failure names the lowest differing coefficient."""
+    if route == reference:
+        return name, True, details
+    e = (route - reference).order()
+    return name, False, (f"first difference at q^{e}: route {route.terms.get(e, 0)}, "
+                         f"reference {reference.terms.get(e, 0)}")
+
+
+def compute_record(r: int, k: int, variety: str) -> dict:
+    """Compute and compare both routes of a variety; the first validates (r, k).
+    ``compute --format json`` prints the record, JSON-native: coefficients are
+    decimal strings and each check is a list."""
+    closed, summed = (route(r, k) for route in _routes(variety))
+    table = stringy.hodge_table(closed)
+    return {
+        "r": r, "k": k, "variety": variety, "stringyE": _poly_pairs(closed),
+        "hodgeDiagonal": {str(p): v for p, v in table.diag.items()},
+        "eulerNumber": str(stringy.stringy_euler(closed)), "nonNegative": table.non_negative,
+        "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
+        "checks": [list(_compare("closed_equals_orbit_sum", summed, closed,
+                                 "exact polynomial comparison of the two routes"))],
+    }
+
+
+def _record_text(record: dict) -> str:
+    poly = " + ".join(f"{c}*q^{e}" for e, c in record["stringyE"])
+    lines = [
+        f"r={record['r']} k={record['k']} variety={record['variety']}",
+        f"stringy E = {poly}",
+        f"euler = {record['eulerNumber']}  nonnegative = {record['nonNegative']}",
+        f"discrepancies = {record['discrepancies']}",
+    ]
+    for name, ok, _ in record["checks"]:
+        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
+    return "\n".join(lines)
+
+
+# -- verification suites ------------------------------------------------------
+# Each runs up to the rmax it is given; ``cli`` lowers --rmax to a suite's cap.
+
+def suite_identities(rmax: int) -> list:
+    """The identity checks; each (r, k) computes its two closed forms once."""
+    checks = []
+    for r in range(2, rmax + 1):
+        closed = {}
+        for k in range(1, r):
+            for variety in VARIETIES:
+                closed_form, orbit_route = _routes(variety)
+                closed[variety, k] = closed_form(r, k)
+                checks.append(_compare(f"{variety}_theorem({r},{k})",
+                                       orbit_route(r, k), closed[variety, k]))
+            g = groth.gauss_binomial(k, r)
+            checks.append(_compare(f"subset_sum_is_grassmannian({r},{k})",
+                                   stringy.grassmannian_subset_sum(r, k), g))
+            checks.append(_compare(f"recursion_is_grassmannian({r},{k})",
+                                   stringy.grassmannian_recursive(r, k), g))
+            checks.append((f"rank_identity({r},{k})", groth.rank_identity_check(r, k), ""))
+            euler_a, euler_p = (stringy.stringy_euler(closed[v, k]) for v in VARIETIES)
+            checks.append((f"euler_affine({r},{k})", euler_a == comb(r, k), ""))
+            checks.append((f"euler_projective({r},{k})", euler_p == k * r * comb(r, k), ""))
+            checks.append((f"nonnegativity({r},{k})",
+                           stringy.hodge_table(closed["projective", k]).non_negative, ""))
+        checks.append(_compare(f"rank_one_resolution({r})",
+                               stringy.stringy_e_from_resolution(
+                                   stringy.rank_one_resolution_data(r)),
+                               closed["affine", 1]))
+    return checks
+
+
+def suite_orbits(rmax: int) -> list:
+    checks = []
+    pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
+    for r, k in pairs:
+        cap = k * (2 * r - k) // (r - k + 1)  # the least cap whose bound is negative
+        bound = stringy.orbit_tail_degree_bound(r, k, cap)
+        for variety in VARIETIES:
+            closed = _routes(variety)[0](r, k)
+            if variety == "projective":
+                # the truncated projective sum leaves the 1/(q - 1) factor out
+                closed = groth.q_factor_product([1], closed)
+            partial = stringy.truncated_orbit_sum(r, k, cap, variety)
+            stable = {e: c for e, c in partial.terms.items() if e > bound}
+            expect = {e: c for e, c in closed.terms.items() if e > bound}
+            checks.append((f"orbit_convergence_{variety}({r},{k},cap={cap})",
+                           stable == expect, f"stable above exponent {bound}"))
+    return checks
+
+
+def suite_zeta(rmax: int, order: int) -> list:
+    checks = []
+    for r in range(1, rmax + 1):
+        series = stringy.zeta_closed_expansion(r, order)
+        ok = all(c == stringy.zeta_coefficient_direct(r, n) for n, c in enumerate(series))
+        checks.append((f"zeta_consistency(r={r},order={order})", ok, ""))
+    return checks
+
+
+# -- table rendering ----------------------------------------------------------
+
+def table_rows(rmax: int, varieties) -> list:
+    rows = []
+    for r in range(2, rmax + 1):
+        for k in range(1, r):
+            for variety in varieties:
+                poly = _routes(variety)[0](r, k)
+                dim = k * (2 * r - k) - (variety == "projective")
+                table = stringy.hodge_table(poly)
+                rows.append({
+                    "r": r,
+                    "k": k,
+                    "variety": variety,
+                    "dim": dim,
+                    "degree": poly.degree(),
+                    "euler": str(stringy.stringy_euler(poly)),
+                    "nonneg": table.non_negative,
+                    "coefficients": _poly_pairs(poly),
+                })
+    return rows
+
+
+def _render_table(rows: list, fmt: str) -> str:
+    if fmt == "json":
+        import json
+        # one compact row object per line: without indent, json takes its C encoder
+        return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+    if fmt == "csv":
+        lines = ["r,k,variety,dim,degree,euler,nonneg,coefficients"]
+        for row in rows:
+            coeffs = ";".join(f"{e}:{c}" for e, c in row["coefficients"])
+            lines.append(f"{row['r']},{row['k']},{row['variety']},{row['dim']},"
+                         f"{row['degree']},{row['euler']},{row['nonneg']},{coeffs}")
+        return "\n".join(lines)
+    if fmt == "latex":
+        lines = [r"\begin{tabular}{lllll}",
+                 r"$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline"]
+        for row in rows:
+            lines.append(f"{row['r']} & {row['k']} & {row['variety']} & "
+                         f"${_render_uv(row['coefficients'])}$ & {row['euler']} \\\\")
+        lines.append(r"\end{tabular}")
+        return "\n".join(lines)
+    raise ValueError(f"unknown format {fmt!r}")

@@ -21,8 +21,8 @@ in T, and direct sums over partitions.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
+from numbers import Rational
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO, _norm
@@ -203,7 +203,7 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
     return HodgeTable(diag=diag)
 
 
-def stringy_euler(p: LaurentPoly) -> int | Fraction:
+def stringy_euler(p: LaurentPoly) -> Rational:
     """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial)."""
     return _norm(sum(p.terms.values()))
 

@@ -1,6 +1,7 @@
 """CLI contract tests: exit statuses, JSON round-trips, table formats."""
 import argparse
 import ast
+import getopt
 import inspect
 import itertools
 import json
@@ -9,17 +10,11 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, strategies as st
 
-from stringydet import cli, exactalg, groth, oracle, stringy
-from stringydet.cli import (
-    EXIT_BUDGET,
-    EXIT_FAIL,
-    EXIT_OK,
-    EXIT_USAGE,
-    compute_record,
-    main,
-    table_rows,
-)
+from stringydet import cli, exactalg, groth, oracle, report, stringy
+from stringydet.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from stringydet.report import compute_record, table_rows
 from stringydet.exactalg import ONE, LaurentPoly, q_pow
 
 
@@ -262,11 +257,11 @@ class TestVerify:
                 cap += 1
             return cap
 
-        monkeypatch.setattr(cli, "_clamp", lambda suite, rmax, cap: rmax)
         monkeypatch.setattr(stringy, "truncated_orbit_sum", lambda r, k, cap, variety: ONE)
-        names = [name for name, _, _ in cli.suite_orbits(12)]
+        names = [name for name, _, _ in report.suite_orbits(12)]
         assert names == [f"orbit_convergence_{variety}({r},{k},cap={least_cap(r, k)})"
-                         for r in range(2, 13) for k in range(1, r) for variety in cli.VARIETIES]
+                         for r in range(2, 13) for k in range(1, r)
+                         for variety in report.VARIETIES]
 
     def test_clamped_rmax_is_noted(self, capsys):
         code, out, err = run(["verify", "--suite", "zeta", "--rmax", "5",
@@ -503,11 +498,12 @@ class TestCommandErrors:
     def test_main_names_the_classes(self):
         assert not hasattr(cli, "_oracle_error")
         assert "sys.modules" not in inspect.getsource(cli)
-        # the command's try has one clause per ending: usage error and budget
+        # the command's try has one clause per ending: usage error, budget and a
+        # standard output closed by its reader
         tries = [node for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
                  if isinstance(node, ast.Try)]
         assert [[ast.unparse(h.type) for h in node.handlers] for node in tries] == [
-            ["InvalidInput", "BudgetExceeded"]]
+            ["InvalidInput", "BudgetExceeded", "BrokenPipeError"]]
 
     def test_cli_reaches_no_private_oracle_name(self):
         names = {node.attr for node in ast.walk(ast.parse(inspect.getsource(cli)))
@@ -577,8 +573,9 @@ class TestCommandErrors:
         def suite(*args):
             raise AssertionError("a suite ran")
 
-        for name in ("suite_identities", "suite_orbits", "suite_zeta", "suite_oracle"):
-            monkeypatch.setattr(cli, name, suite)
+        for name in ("suite_identities", "suite_orbits", "suite_zeta"):
+            monkeypatch.setattr(report, name, suite)
+        monkeypatch.setattr(oracle, "verify_classes", suite)
         assert run(argv.split(), capsys) == (code, "", f"error: {message}\n")
 
     def test_mismatch_ends_the_oracle_command(self, monkeypatch, capsys):
@@ -639,7 +636,7 @@ def bad_input_grid():
     malformed command lines."""
     yield from MALFORMED_ARGV
     small = [str(n) for n in range(-1, 4)]
-    for r, k, variety in itertools.product(small, small, cli.VARIETIES):
+    for r, k, variety in itertools.product(small, small, report.VARIETIES):
         yield ["compute", "--r", r, "--k", k, "--variety", variety]
     for suite in ("identities", "oracle", "orbits", "zeta", "all"):
         for rmax, p in itertools.product(small, ["-1", "0", "1", "2", "4", "9"]):
@@ -783,3 +780,71 @@ def test_tool_help_lists_every_command(flag, capsys):
     assert [line.split()[2] for line in out.splitlines()] == list(cli.COMMANDS)
     for line in out.splitlines():
         assert run([line.split()[2], "-h"], capsys) == (EXIT_OK, line + "\n", "")
+
+
+def test_variety_choices_are_the_report_varieties():
+    assert cli.COMMANDS["compute"]["variety"][0] == tuple(report.VARIETIES)
+
+
+# -- getopt, which the flag reader replaced, kept as its reference --
+
+def getopt_reference(args: list, flags) -> tuple:
+    return getopt.getopt(args, "h", [f"{flag}=" for flag in flags] + ["help"])
+
+
+def assert_reads_as_getopt(args: list, flags) -> None:
+    try:
+        expected = getopt_reference(args, flags)
+    except getopt.GetoptError as exc:
+        with pytest.raises(groth.InvalidInput) as raised:
+            cli._read_flags(args, flags)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cli._read_flags(args, flags) == expected
+
+
+@st.composite
+def command_words(draw):
+    """A command, and words built from its flags, their prefixes and stray values."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    name = st.sampled_from([*cli.COMMANDS[command], "help", "x"])
+    prefix = st.builds(lambda n, i: "--" + n[:i], name, st.integers(1, 8))
+    value = st.sampled_from(["3", "0", "-1", "-5", "", "json", "both", "stray", "-", "--",
+                             "-h", "--r"])
+    word = st.one_of(prefix, st.builds(lambda p, v: f"{p}={v}", prefix, value), value,
+                     st.sampled_from(["-h", "-hh", "-hx", "-x", "--help=1", "--=3"]))
+    return command, draw(st.lists(word, max_size=7))
+
+
+@given(command_words())
+def test_flag_reader_agrees_with_getopt(command_and_words):
+    command, words = command_and_words
+    assert_reads_as_getopt(words, cli.COMMANDS[command])
+
+
+@pytest.mark.parametrize("command,args,message", [
+    ("compute", ["--x", "1"], "option --x not recognized"),
+    ("compute", ["--k", "1", "--r"], "option --r requires argument"),
+    ("table", ["--r"], "option --rmax requires argument"),
+    ("zeta", ["--=3"], "option -- not a unique prefix"),
+    ("oracle", ["--help=1"], "option --help must not have an argument"),
+    ("verify", ["--he=", "--p", "2"], "option --help must not have an argument"),
+    ("table", ["-hx"], "option -x not recognized"),
+    ("zeta", ["-5"], "option -5 not recognized"),
+    ("compute", ["--r", "1", "--k", "2"], None),
+    ("verify", ["--s=zeta", "--o", "-1", "-hh", "--", "--p", "3"], None),
+    ("oracle", ["--p", "2", "-", "--rmax", "2"], None),
+    ("table", ["--rmax", "--format", "stray", "--v"], None),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_flag_reader_keeps_getopt_wording(command, args, message):
+    flags = cli.COMMANDS[command]
+    assert_reads_as_getopt(args, flags)
+    if message is not None:
+        with pytest.raises(groth.InvalidInput, match=f"^{re.escape(message)}$"):
+            cli._read_flags(args, flags)
+
+
+@pytest.mark.parametrize("args", [["--r", "1"], ["--rm=2", "--r=3", "--rmax", "4"]])
+def test_flag_reader_prefers_an_exact_name_as_getopt_does(args):
+    # no command has a flag that begins another, so the tables do not reach this
+    assert_reads_as_getopt(args, ("r", "rmax"))

@@ -4,6 +4,7 @@ In-process tests have every module loaded already, so a command that lost an
 import it needs, or kept one it does not, only shows in a cold interpreter.
 ``-S`` leaves out ``site``, whose imports would hide the program's own.
 """
+import ast
 import os
 import pathlib
 import subprocess
@@ -38,12 +39,13 @@ def cold(*argv: str) -> subprocess.CompletedProcess:
                           env=ENV, capture_output=True, text=True, timeout=60)
 
 
-def loaded(argv: str) -> set:
-    """Modules loaded by a successful ``stringy-det argv`` in a fresh process."""
+def loaded(argv: str, expected_status: str = "0") -> set:
+    """Modules loaded by ``stringy-det argv`` in a fresh process, by default a
+    successful one."""
     proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv.split()], cwd=ROOT,
                           env=ENV, capture_output=True, text=True, timeout=60)
     status, *modules = proc.stderr.splitlines()[-1].split()
-    assert status == "0", proc.stderr
+    assert status == expected_status, proc.stderr
     return set(modules)
 
 
@@ -73,7 +75,41 @@ def test_route_commands_leave_out_the_oracle(argv):
 def test_oracle_commands_leave_out_stringy_and_json(argv):
     modules = loaded(argv)
     assert "stringydet.oracle" in modules
-    assert not {"stringydet.stringy", "json"} & modules
+    assert not {"stringydet.report", "stringydet.stringy", "json"} & modules
+
+
+@pytest.mark.parametrize("argv,status", [
+    *((argv, "0") for argv in STRINGY_COMMANDS + ORACLE_COMMANDS + ["--help", "zeta -h"]),
+    ("compute --r 2", "2"), ("table --rmax 3 --format xml", "2"), ("oracle --p 4 --rmax 2", "2"),
+])
+def test_no_command_loads_fractions_or_getopt(argv, status):
+    # values stay integral and the command line is read without getopt, whose
+    # gettext, like fractions' decimal, would cost each process about a millisecond
+    assert not {"fractions", "decimal", "getopt", "gettext"} & loaded(argv, status)
+
+
+def test_report_does_not_import_cli():
+    # under ``python -m``, cli is __main__: importing stringydet.cli would compile
+    # and run it a second time
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "stringydet" / "report.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or "", *(alias.name for alias in node.names)}
+    assert {"groth", "stringy"} <= names
+    assert not any(name.split(".")[-1] == "cli" for name in names)
+
+
+def test_closed_stdout_ends_quietly():
+    # a table larger than a pipe holds: the reader leaves after the first line
+    with subprocess.Popen([sys.executable, "-m", "stringydet.cli", "table", "--rmax", "16",
+                           "--variety", "both", "--format", "json"], cwd=ROOT, env=ENV,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize("suite", ["identities", "orbits", "zeta", "oracle", "all"])
