@@ -176,7 +176,8 @@ def main(argv=None) -> int:
                 raise InvalidInput(f"no row to tabulate: --rmax {args.rmax}")
             varieties = (["affine", "projective"] if args.variety == "both"
                          else [args.variety])
-            print(report._render_table(report.table_rows(args.rmax, varieties), args.format))
+            rows = report.table_rows(args.rmax, varieties)
+            sys.stdout.writelines(report._render_table(rows, args.format))
             return EXIT_OK
 
         if args.command == "zeta":

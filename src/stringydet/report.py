@@ -139,45 +139,45 @@ def suite_zeta(rmax: int, order: int) -> list:
 
 # -- table rendering ----------------------------------------------------------
 
-def table_rows(rmax: int, varieties) -> list:
-    rows = []
+def table_rows(rmax: int, varieties):
+    """The rows of ``table``, one at a time: each is read off the Hodge diagonal of its
+    closed form, which is sorted and integer-checked, so nothing is sorted again."""
     for r in range(2, rmax + 1):
         for k in range(1, r):
             for variety in varieties:
-                poly = _routes(variety)[0](r, k)
-                dim = k * (2 * r - k) - (variety == "projective")
-                table = stringy.hodge_table(poly)
-                rows.append({
-                    "r": r,
-                    "k": k,
-                    "variety": variety,
-                    "dim": dim,
-                    "degree": poly.degree(),
-                    "euler": str(stringy.stringy_euler(poly)),
-                    "nonneg": table.non_negative,
-                    "coefficients": _poly_pairs(poly),
-                })
-    return rows
+                table = stringy.hodge_table(_routes(variety)[0](r, k))
+                pairs = [[exp, str(c)] for exp, c in table.diag.items()]
+                yield {"r": r, "k": k, "variety": variety,
+                       "dim": k * (2 * r - k) - (variety == "projective"),
+                       "degree": pairs[-1][0], "euler": str(sum(table.diag.values())),
+                       "nonneg": table.non_negative, "coefficients": pairs}
 
 
-def _render_table(rows: list, fmt: str) -> str:
+def _render_table(rows, fmt: str):
+    """The text of ``table`` in chunks, one per row with the head on the first, so that
+    rows are computed, rendered and written one at a time."""
     if fmt == "json":
         import json
         # one compact row object per line: without indent, json takes its C encoder
-        return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
-    if fmt == "csv":
-        lines = ["r,k,variety,dim,degree,euler,nonneg,coefficients"]
-        for row in rows:
+        head, sep, tail, line = "[\n", ",\n", "\n]\n", json.dumps
+    elif fmt == "csv":
+        head, sep, tail = "r,k,variety,dim,degree,euler,nonneg,coefficients\n", "\n", "\n"
+
+        def line(row):
             coeffs = ";".join(f"{e}:{c}" for e, c in row["coefficients"])
-            lines.append(f"{row['r']},{row['k']},{row['variety']},{row['dim']},"
-                         f"{row['degree']},{row['euler']},{row['nonneg']},{coeffs}")
-        return "\n".join(lines)
-    if fmt == "latex":
-        lines = [r"\begin{tabular}{lllll}",
-                 r"$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline"]
-        for row in rows:
-            lines.append(f"{row['r']} & {row['k']} & {row['variety']} & "
-                         f"${_render_uv(row['coefficients'])}$ & {row['euler']} \\\\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+            return (f"{row['r']},{row['k']},{row['variety']},{row['dim']},"
+                    f"{row['degree']},{row['euler']},{row['nonneg']},{coeffs}")
+    elif fmt == "latex":
+        head = (r"\begin{tabular}{lllll}" "\n"
+                r"$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline" "\n")
+        sep, tail = "\n", "\n" r"\end{tabular}" "\n"
+
+        def line(row):
+            return (f"{row['r']} & {row['k']} & {row['variety']} & "
+                    f"${_render_uv(row['coefficients'])}$ & {row['euler']} " r"\\")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    for row in rows:
+        yield head + line(row)
+        head = sep
+    yield tail

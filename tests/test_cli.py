@@ -367,7 +367,7 @@ class TestTable:
     def test_json_has_one_row_per_line(self, capsys):
         code, out, _ = run("table --rmax 6 --variety both --format json".split(), capsys)
         assert code == EXIT_OK
-        rows = table_rows(6, ["affine", "projective"])
+        rows = list(table_rows(6, ["affine", "projective"]))
         lines = out.splitlines()
         assert lines[0] == "[" and lines[-1] == "]"
         assert len(lines) == len(rows) + 2 == 32
@@ -376,7 +376,7 @@ class TestTable:
 
     def test_euler_column_4_2(self):
         rows = {(row["r"], row["k"], row["variety"]): row
-                for row in table_rows(4, ["affine", "projective"])}
+                for row in list(table_rows(4, ["affine", "projective"]))}
         assert rows[(4, 2, "affine")]["euler"] == "6"
         assert rows[(4, 2, "projective")]["euler"] == "48"
 

@@ -101,12 +101,18 @@ def test_report_does_not_import_cli():
     assert not any(name.split(".")[-1] == "cli" for name in names)
 
 
-def test_closed_stdout_ends_quietly():
-    # a table larger than a pipe holds: the reader leaves after the first line
+TABLE_FIRST_LINES = {"json": b"[\n", "csv": b"r,k,variety,dim,degree,euler,nonneg,coefficients\n",
+                     "latex": b"\\begin{tabular}{lllll}\n"}
+
+
+@pytest.mark.parametrize("fmt", TABLE_FIRST_LINES)
+def test_closed_stdout_ends_quietly(fmt):
+    # a table larger than a pipe holds (the csv, the smallest, is 107 KB): the
+    # reader leaves after the first line
     with subprocess.Popen([sys.executable, "-m", "stringydet.cli", "table", "--rmax", "16",
-                           "--variety", "both", "--format", "json"], cwd=ROOT, env=ENV,
+                           "--variety", "both", "--format", fmt], cwd=ROOT, env=ENV,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"[\n"
+        assert proc.stdout.readline() == TABLE_FIRST_LINES[fmt]
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
