@@ -5,13 +5,12 @@ Exit statuses: 0 success, 1 verification failure or a closed stdout, 2 usage err
 enumeration budget exceeded. ``-h`` or ``--help`` prints the usage of ``COMMANDS``.
 
 A command loads only the layers it runs: ``report`` and ``stringy`` for the
-routes, ``oracle`` for the counts over F_p and ``json`` for JSON output.
+routes, ``oracle`` for the counts over F_p and ``json`` for the JSON of
+``compute`` and ``zeta`` (``report`` writes a JSON table row itself).
 The errors that end a command are ``groth``'s ``InvalidInput`` (exit 2) and
 ``BudgetExceeded`` (exit 3), so ``main`` maps each to its exit status whichever
 layer raised it. A disagreement never ends a command: it is a failing check.
 """
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 
@@ -33,13 +32,12 @@ def _clamp(suite: str, rmax: int, cap: int) -> int:
 
 
 def _print_checks(checks: list) -> bool:
-    all_ok = True
+    lines = []
     for name, ok, details in checks:
-        status = "pass" if ok else "FAIL"
         suffix = f"  ({details})" if details else ""
-        print(f"{status}  {name}{suffix}")
-        all_ok = all_ok and ok
-    return all_ok
+        lines.append(f"{'pass' if ok else 'FAIL'}  {name}{suffix}\n")
+    sys.stdout.write("".join(lines))
+    return all(ok for _, ok, _ in checks)
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -9,8 +9,6 @@ make a ``Fraction``, so a run whose values stay integral never loads it.
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
 """
-from __future__ import annotations
-
 from numbers import Rational
 
 

@@ -7,8 +7,6 @@ independent vectors, and the rank stratification of matrix space.
 The errors that end a command live here too, where every layer can raise them
 and ``cli`` can catch them without loading the layer that raises.
 """
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from operator import sub

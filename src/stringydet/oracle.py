@@ -8,8 +8,6 @@ class formula enters it. Enumeration is deterministic, so any failure is
 reproducible; a budget guard over all censuses of a run rejects infeasible
 sizes before anything is enumerated.
 """
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from math import gcd

@@ -1,8 +1,6 @@
 """The route commands' records, suites of checks and tables, loaded by ``cli`` only
 for the commands that run the routes. ``groth`` and ``stringy`` are called through
 their modules, so a wrapped or patched function is the one that runs."""
-from __future__ import annotations
-
 from math import comb
 
 from . import groth, stringy
@@ -157,9 +155,17 @@ def _render_table(rows, fmt: str):
     """The text of ``table`` in chunks, one per row with the head on the first, so that
     rows are computed, rendered and written one at a time."""
     if fmt == "json":
-        import json
-        # one compact row object per line: without indent, json takes its C encoder
-        head, sep, tail, line = "[\n", ",\n", "\n]\n", json.dumps
+        # json.dumps(row), one row per line: the only strings are a variety name and
+        # decimal integers, so nothing needs escaping
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+
+        def line(row):
+            coeffs = ", ".join(f'[{e}, "{c}"]' for e, c in row["coefficients"])
+            return (f'{{"r": {row["r"]}, "k": {row["k"]}, "variety": "{row["variety"]}", '
+                    f'"dim": {row["dim"]}, "degree": {row["degree"]}, '
+                    f'"euler": "{row["euler"]}", '
+                    f'"nonneg": {"true" if row["nonneg"] else "false"}, '
+                    f'"coefficients": [{coeffs}]}}')
     elif fmt == "csv":
         head, sep, tail = "r,k,variety,dim,degree,euler,nonneg,coefficients\n", "\n", "\n"
 

@@ -18,8 +18,6 @@ function of the determinant hypersurface (k = r - 1) is also provided, in
 two forms that are checked against each other: the same chain sum expanded
 in T, and direct sums over partitions.
 """
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache, reduce
 from numbers import Rational
@@ -41,7 +39,7 @@ class HodgeTable(namedtuple("HodgeTable", "diag")):
 
     @property
     def non_negative(self) -> bool:
-        return all(v >= 0 for v in self.diag.values())
+        return min(self.diag.values(), default=0) >= 0
 
 
 class ResolutionData(namedtuple("ResolutionData", "strata discrepancies")):

@@ -84,8 +84,9 @@ def test_oracle_commands_leave_out_stringy_and_json(argv):
 ])
 def test_no_command_loads_fractions_or_getopt(argv, status):
     # values stay integral and the command line is read without getopt, whose
-    # gettext, like fractions' decimal, would cost each process about a millisecond
-    assert not {"fractions", "decimal", "getopt", "gettext"} & loaded(argv, status)
+    # gettext, like fractions' decimal, would cost each process about a millisecond;
+    # annotations resolve as they are defined, so no module needs __future__
+    assert not {"fractions", "decimal", "getopt", "gettext", "__future__"} & loaded(argv, status)
 
 
 def test_report_does_not_import_cli():
@@ -121,6 +122,11 @@ def test_closed_stdout_ends_quietly(fmt):
 @pytest.mark.parametrize("suite", ["identities", "orbits", "zeta", "oracle", "all"])
 def test_verify_leaves_out_json(suite):
     assert "json" not in loaded(f"verify --suite {suite} --rmax 2")
+
+
+def test_table_json_leaves_out_json():
+    # a JSON row is written with one format string
+    assert "json" not in loaded("table --rmax 3 --variety both --format json")
 
 
 def test_invalid_input_has_one_class():

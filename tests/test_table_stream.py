@@ -3,13 +3,16 @@
 The list-building ``table_rows`` and ``_render_table`` that the streamed ones
 replaced are kept here as the reference: the streamed output must match them
 byte for byte, its first row must be written before the second closed form is
-computed, and it must never hold more than a fraction of its output.
+computed, and it must never hold more than a fraction of its output. A JSON row
+is written without ``json``, which stays here as its oracle.
 """
 import io
+import json
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stringydet import report, stringy
 from stringydet.cli import EXIT_OK, main
@@ -44,7 +47,6 @@ def reference_table_rows(rmax: int, varieties) -> list:
 
 def reference_render_table(rows: list, fmt: str) -> str:
     if fmt == "json":
-        import json
         return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
     if fmt == "csv":
         lines = ["r,k,variety,dim,degree,euler,nonneg,coefficients"]
@@ -86,6 +88,21 @@ def test_streamed_table_matches_the_reference(fmt, variety, capsys):
 
 def test_benchmark_table_matches_the_reference(capsys):
     assert table(capsys, 13, "both", "json") == reference_stdout(13, "both", "json")
+
+
+# the integers a row can hold: small, negative, and beyond 64 bits
+INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+# a row's keys in the order ``table_rows`` gives them, which json.dumps keeps
+JSON_ROWS = st.tuples(
+    INTS, INTS, st.sampled_from(["affine", "projective"]), INTS, INTS, INTS.map(str),
+    st.booleans(), st.lists(st.tuples(INTS, INTS.map(str)).map(list), max_size=6),
+).map(lambda values: dict(zip(
+    ["r", "k", "variety", "dim", "degree", "euler", "nonneg", "coefficients"], values)))
+
+
+@given(JSON_ROWS)
+def test_json_row_is_json_dumps(row):
+    assert list(report._render_table([row], "json")) == ["[\n" + json.dumps(row), "\n]\n"]
 
 
 # -- one row at a time ------------------------------------------------------------
