@@ -137,12 +137,15 @@ def main(argv=None) -> int:
                 raise InvalidInput(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
         if args.command == "oracle" or getattr(args, "suite", None) in ("oracle", "all"):
             from . import oracle
-            oracle.check_prime(args.p)
             if args.budget is None:
                 args.budget = oracle.DEFAULT_BUDGET
-            if args.command == "verify":  # refused before any suite runs
-                n = oracle.census_candidates(args.p, min(args.rmax, _ORACLE_RMAX), args.budget)
-                oracle.check_budget(n, args.budget)
+            rmax = args.rmax if args.command == "oracle" else min(args.rmax, _ORACLE_RMAX)
+            n = oracle.census_candidates(args.p, rmax, args.budget)  # refuses a bad p first
+            if args.command == "oracle":
+                if args.rmax < 1:
+                    raise InvalidInput(f"no check to run: --rmax {args.rmax}")
+                print(f"estimated candidates: {n}")
+            oracle.check_budget(n, args.budget)  # before any census or suite runs
         if args.command != "oracle" and getattr(args, "suite", None) != "oracle":
             from . import report  # every command but the oracle's runs the routes
         if args.command == "compute":
@@ -192,10 +195,6 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "oracle":
-            if args.rmax < 1:
-                raise InvalidInput(f"no check to run: --rmax {args.rmax}")
-            print("estimated candidates: "
-                  f"{oracle.census_candidates(args.p, args.rmax, args.budget)}")
             checks = oracle.verify_classes(args.p, args.rmax, args.budget).checks
             return EXIT_OK if _print_checks(checks) else EXIT_FAIL
 

@@ -104,20 +104,23 @@ def gauss_binomial(d: int, k: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def class_independent_tuples(d: int, k: int) -> LaurentPoly:
-    """Class of d-tuples of linearly independent vectors in k-space."""
+    """Class of d-tuples of linearly independent vectors in k-space: the rank-d d x k matrices."""
     if d < 0 or k < 0 or d > k:
         raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
-    result = ONE
-    for j in range(d):
-        result = result.shift(k) - result.shift(j)
-    return result
+    return rank_stratum_class(d, k, d)
 
 
-def rank_stratum_class(r: int, s: int, j: int) -> LaurentPoly:
-    """Class of r x s matrices of rank exactly j: [G(r-j, r)] * [U(j, s)]."""
+def rank_stratum_class(r: int, s: int, j: int, base: LaurentPoly = ONE,
+                       times=()) -> LaurentPoly:
+    """``base`` times q^a - 1 for a in ``times`` and the class of the r x s matrices of rank
+    exactly j, [G(j, r)][U(j, s)] = q^{j(j-1)/2} prod_{s-j < i <= s} (q^i - 1) [G(j, r)],
+    with e = min(j, r - j) divisions for [G(j, r)]. For r = s = b it is [GL_j][G(j, b)]^2,
+    the class of a chain step b - j -> b."""
     if not 0 <= j <= min(r, s):
         raise InvalidInput(f"need 0 <= j <= min(r, s), got j={j}")
-    return gauss_binomial(r - j, r) * class_independent_tuples(j, s)
+    e = min(j, r - j)
+    return _factor_ratio(base, [*times, *range(s - j + 1, s + 1), *range(r - e + 1, r + 1)],
+                         range(1, e + 1)).shift(j * (j - 1) // 2)
 
 
 def rank_identity_check(r: int, k: int) -> bool:

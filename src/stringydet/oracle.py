@@ -131,8 +131,9 @@ def _classes_outside(p: int, s: int, span: frozenset) -> tuple:
 
 def census_candidates(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> int:
     """Matrices enumerated by ``verify_classes(p, r_max)``: all r x s, 1 <= r <= s <= r_max.
-    BudgetExceeded, before any power is summed, if the r_max x r_max census alone
-    is over the budget by its exponent."""
+    UnsupportedPrime unless ``check_prime(p)`` passes; BudgetExceeded, before any power
+    is summed, if the r_max x r_max census alone is over the budget by its exponent."""
+    check_prime(p)
     if r_max > 0:
         _check_exponent(p, r_max, r_max, budget)
     return sum(p ** (r * s) for r in range(1, r_max + 1) for s in range(r, r_max + 1))
@@ -149,7 +150,6 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     the budget is checked against all censuses before any is enumerated.
     Each census is read once and each stratum class evaluated once.
     """
-    check_prime(p)
     check_budget(census_candidates(p, r_max, budget), budget)
     sizes = range(1, r_max + 1)
     counts = {(r, s): rank_census(p, r, s, budget).counts for r in sizes for s in sizes if r <= s}

@@ -143,11 +143,12 @@ def table_rows(rmax: int, varieties):
     for r in range(2, rmax + 1):
         for k in range(1, r):
             for variety in varieties:
-                table = stringy.hodge_table(_routes(variety)[0](r, k))
+                closed = _routes(variety)[0](r, k)
+                table = stringy.hodge_table(closed)
                 pairs = [[exp, str(c)] for exp, c in table.diag.items()]
                 yield {"r": r, "k": k, "variety": variety,
                        "dim": k * (2 * r - k) - (variety == "projective"),
-                       "degree": pairs[-1][0], "euler": str(sum(table.diag.values())),
+                       "degree": pairs[-1][0], "euler": str(stringy.stringy_euler(closed)),
                        "nonneg": table.non_negative, "coefficients": pairs}
 
 

@@ -25,7 +25,7 @@ from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO, _norm
 from .groth import (InvalidInput, _factor_ratio, class_gl, gauss_binomial, partition_tails,
-                    q_factor_product, q_factor_quotient)
+                    q_factor_product, q_factor_quotient, rank_stratum_class)
 
 
 class HodgeTable(namedtuple("HodgeTable", "diag")):
@@ -79,13 +79,6 @@ def log_discrepancies(r: int, k: int):
 
 # -- chain sums ---------------------------------------------------------------
 
-def _times_step(p: LaurentPoly, d: int, b: int, skipped=()) -> LaurentPoly:
-    """p times q^a - 1 for a in ``skipped`` and [GL_d][G(d, b)]^2, the class of a chain step
-    b - d -> b, where [GL_d][G(d, b)] = q^{d(d-1)/2} prod_{b-d < i <= b} (q^i - 1)."""
-    return _factor_ratio(p, [*skipped, *range(b - d + 1, b + 1), *range(max(d, b - d) + 1, b + 1)],
-                         range(1, min(d, b - d) + 1)).shift(d * (d - 1) // 2)
-
-
 def _orbit_chain_sum(r: int, k: int):
     """Numerator and common denominator exponents of the orbit subset sum.
 
@@ -96,8 +89,9 @@ def _orbit_chain_sum(r: int, k: int):
     d = i - previous surviving index (starting from r - k), is a sum over
     the chains r-k = s_0 < ... < s_m = r of surviving indices. Over the
     common denominator prod_i (q^{i(i-r+k)} - 1) a step a -> b carries
-    [GL_{b-a}][G(b-a, b)]^2 times the denominators of the skipped indices
-    a < i < b, so the numerator is a path sum over O(k^2) steps.
+    [GL_{b-a}][G(b-a, b)]^2, the class of the rank b-a b x b matrices, times the
+    denominators of the skipped indices a < i < b, so the numerator is a path
+    sum over O(k^2) steps.
     """
     start = r - k
 
@@ -109,7 +103,7 @@ def _orbit_chain_sum(r: int, k: int):
     for b in range(start + 1, r + 1):
         total = ZERO
         for a in range(start, b):
-            total = total + _times_step(paths[a], b - a, b, skipped(a, b))
+            total = total + rank_stratum_class(b, b, b - a, paths[a], skipped(a, b))
         paths[b] = total
     return paths[r], skipped(start, r + 1)
 
@@ -143,10 +137,8 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
 
     total = ZERO
     for m in range(r - k, r):
-        # times (q^{m+1}-1)^2 ... (q^r-1)^2 / ((q-1) ... (q^{r-m}-1)) * q^{(r-m)(r-m-1)/2}
-        term = _factor_ratio(grassmannian_recursive(m, k + m - r), [*range(m + 1, r + 1)] * 2,
-                             range(1, r - m + 1))
-        total = total + term.shift((r - m) * (r - m - 1) // 2)
+        # times [GL_{r-m}][G(r-m, r)]^2, the step m -> r of the chain sum
+        total = total + rank_stratum_class(r, r, r - m, grassmannian_recursive(m, k + m - r))
     return q_factor_quotient([k * r], total)
 
 
@@ -345,7 +337,7 @@ def zeta_closed_expansion(r: int, order: int) -> tuple:
         for a in range(b):
             for t, c in paths[a].items():
                 if t + b <= limit:  # else no arrival at b fits the truncation
-                    reached[t] = reached.get(t, ZERO) + _times_step(c, b - a, b)
+                    reached[t] = reached.get(t, ZERO) + rank_stratum_class(b, b, b - a, c)
         arrived = {}
         for t, c in reached.items():
             for j in range(1, (limit - t) // b + 1):

@@ -512,6 +512,14 @@ class TestCommandErrors:
         assert "check_budget" in names
         assert not {name for name in names if name.startswith("_")}
 
+    def test_main_admits_the_oracle_once(self):
+        # one candidate count and one budget check serve oracle and verify alike;
+        # census_candidates checks p itself
+        calls = [ast.unparse(node.func) for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                 if isinstance(node, ast.Call)]
+        assert calls.count("oracle.census_candidates") == calls.count("oracle.check_budget") == 1
+        assert "oracle.check_prime" not in calls
+
     def test_every_error_is_one_of_two_kinds(self):
         # bad input ends a command with exit 2 and an exhausted budget with exit 3;
         # the kernel's errors are arithmetic, a bug and not bad input

@@ -1,4 +1,5 @@
 """Tests for the building-block classes and the rank stratification."""
+import inspect
 import itertools
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from stringydet.exactalg import (DivisionByZero, NotPolynomial, ONE, ZERO, Laure
                                  _from_dense, q_pow)
 from stringydet.groth import (
     InvalidInput,
+    _factor_ratio,
     class_gl,
     class_independent_tuples,
     gauss_binomial,
@@ -355,6 +357,122 @@ class TestRankStrata:
             for s in range(r, 7):
                 total = sum(rank_stratum_class(r, s, j) for j in range(r + 1))
                 assert total == q_pow(r * s)
+
+
+# -- the builds the one stratum builder replaced, kept as its references --
+
+def times_step_reference(p: LaurentPoly, d: int, b: int, skipped=()) -> LaurentPoly:
+    """The chain step b - d -> b as the orbit and zeta routes built it: p times q^a - 1
+    for a in ``skipped`` and [GL_d][G(d, b)]^2 on one reduced factor list."""
+    return _factor_ratio(p, [*skipped, *range(b - d + 1, b + 1), *range(max(d, b - d) + 1, b + 1)],
+                         range(1, min(d, b - d) + 1)).shift(d * (d - 1) // 2)
+
+
+def recursion_step_reference(p: LaurentPoly, r: int, m: int) -> LaurentPoly:
+    """The step m -> r as the recursion built it, unreduced: p (q^{m+1}-1)^2 ... (q^r-1)^2
+    over (q-1) ... (q^{r-m}-1), times q^{(r-m)(r-m-1)/2}."""
+    return _factor_ratio(p, [*range(m + 1, r + 1)] * 2,
+                         range(1, r - m + 1)).shift((r - m) * (r - m - 1) // 2)
+
+
+def independent_tuples_by_shifts(d: int, k: int) -> LaurentPoly:
+    """prod_{0 <= j < d} (q^k - q^j), one shift and subtraction per vector."""
+    result = ONE
+    for j in range(d):
+        result = result.shift(k) - result.shift(j)
+    return result
+
+
+def stratum_by_product(r: int, s: int, j: int) -> LaurentPoly:
+    """[G(r - j, r)] times the shift-loop [U(j, s)], two classes and one product."""
+    return gauss_binomial(r - j, r) * independent_tuples_by_shifts(j, s)
+
+
+class TestStratumBuilder:
+    def test_matches_the_product_of_its_classes(self):
+        for r, s in itertools.product(range(13), repeat=2):
+            for j in range(min(r, s) + 1):
+                assert rank_stratum_class(r, s, j) == stratum_by_product(r, s, j), (r, s, j)
+
+    def test_square_strata_match_the_chain_and_recursion_steps(self):
+        for b in range(13):
+            for d in range(b + 1):
+                want = rank_stratum_class(b, b, d)
+                assert times_step_reference(ONE, d, b) == want, (b, d)
+                assert recursion_step_reference(ONE, b, b - d) == want, (b, d)
+
+    def test_independent_tuples_match_the_shift_loop(self):
+        for k in range(13):
+            for d in range(k + 1):
+                want = independent_tuples_by_shifts(d, k)
+                assert class_independent_tuples(d, k) == rank_stratum_class(d, k, d) == want
+
+    @given(laurent_polys, st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
+           st.lists(st.integers(1, 12), max_size=3))
+    def test_base_and_extra_factors(self, base, r, s, j, times):
+        j = min(j, r, s)
+        got = rank_stratum_class(r, s, j, base, times)
+        assert got == base * q_factor_product(times) * stratum_by_product(r, s, j)
+        if r == s:
+            assert got == times_step_reference(base, j, r, times)
+            assert got == recursion_step_reference(q_factor_product(times, base), r, r - j)
+
+
+# A wrong factor of the stratum builder, as (its text, the mutant's): a wrong power of q
+# keeps every route's division exact, a wrong q^a - 1 does not.
+WRONG_POWER = ("j * (j - 1) // 2", "j * (j + 1) // 2")
+WRONG_FACTOR = ("range(s - j + 1, s + 1)", "range(s - j + 2, s + 1)")
+
+
+@pytest.fixture
+def mutant_builder(monkeypatch):
+    """Install a mutant of ``rank_stratum_class`` everywhere it is bound, with every
+    cache that holds a value built from it cleared before and after."""
+    from stringydet import groth, stringy
+
+    caches = (groth.class_independent_tuples, stringy.grassmannian_subset_sum,
+              stringy.grassmannian_recursive)
+
+    def install(mutation):
+        old, new = mutation
+        text = inspect.getsource(groth.rank_stratum_class)
+        assert text.count(old) == 1
+        namespace = dict(vars(groth))
+        exec(text.replace(old, new), namespace)
+        for module in (groth, stringy, oracle):
+            monkeypatch.setattr(module, "rank_stratum_class", namespace["rank_stratum_class"])
+        for cache in caches:
+            cache.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+def failing(checks, prefix: str) -> list:
+    return [name for name, ok, _ in checks if name.startswith(prefix) and not ok]
+
+
+class TestStratumBuilderMutation:
+    def test_wrong_power_fails_the_census_and_every_route_that_uses_it(self, mutant_builder):
+        from stringydet import report
+
+        mutant_builder(WRONG_POWER)
+        assert failing(oracle.verify_classes(2, 3).checks, "rank_stratum(")
+        checks = report.suite_identities(4)
+        for prefix in ("subset_sum_is_grassmannian(", "recursion_is_grassmannian(",
+                       "rank_identity("):
+            assert failing(checks, prefix), prefix
+
+    def test_wrong_factor_fails_the_census_and_stops_the_chain_sum(self, mutant_builder):
+        from stringydet import report
+
+        mutant_builder(WRONG_FACTOR)
+        assert failing(oracle.verify_classes(2, 3).checks, "rank_stratum(")
+        assert not rank_identity_check(4, 2)
+        with pytest.raises(NotPolynomial):
+            report.suite_identities(4)
 
 
 class TestRankIdentity:

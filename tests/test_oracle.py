@@ -117,6 +117,13 @@ class TestPrimeField:
             with pytest.raises(UnsupportedPrime, match=f"^{n} is above the cap 7$"):
                 check_prime(n)
 
+    def test_candidates_and_verify_refuse_a_bad_prime_first(self):
+        # before the exponent check, so an over-budget size does not hide a bad p
+        for p, message in ((4, "4 is not prime"), (11, "11 is above the cap 7")):
+            for refuse in (census_candidates, verify_classes):
+                with pytest.raises(UnsupportedPrime, match=f"^{message}$"):
+                    refuse(p, 3000)
+
 
 class TestRank:
     def test_zero_matrix(self):

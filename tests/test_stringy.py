@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from stringydet import stringy
 from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
-from stringydet.groth import class_gl, gauss_binomial, partition_tails, q_factor_product
+from stringydet.groth import (class_gl, gauss_binomial, partition_tails, q_factor_product,
+                              rank_stratum_class)
 from stringydet.stringy import (
     _ladder,
     _orbit_chain_sum,
@@ -137,7 +138,7 @@ class TestChainSum:
         # p and [GL_d][G(d, b)]^2 built from the class builders
         b = d + extra
         want = p * class_gl(d) * gauss_binomial(d, b) ** 2 * q_factor_product(skipped)
-        assert stringy._times_step(p, d, b, skipped) == want
+        assert rank_stratum_class(b, b, d, p, skipped) == want
 
     def test_matches_subset_enumeration(self):
         for r in range(2, 8):
@@ -389,13 +390,13 @@ class TestZeta:
         # a step is applied only to a path term that fits the truncation: at r = 30,
         # order 2, the steps 0 -> 1 and 0 -> 2, then 0, 1 (twice) and 2 -> 30, of the
         # 465 steps a -> b
-        steps, times_step = [], stringy._times_step
+        steps = []
 
-        def counted(p, d, b, *skipped):
-            steps.append((b - d, b))
-            return times_step(p, d, b, *skipped)
+        def counted(r, s, j, *args):
+            steps.append((s - j, s))
+            return rank_stratum_class(r, s, j, *args)
 
-        monkeypatch.setattr(stringy, "_times_step", counted)
+        monkeypatch.setattr(stringy, "rank_stratum_class", counted)
         series = zeta_closed_expansion(30, 2)
         assert sorted(steps) == [(0, 1), (0, 2), (0, 30), (1, 30), (1, 30), (2, 30)]
         assert series == tuple(zeta_coefficient_direct(30, n) for n in range(3))
