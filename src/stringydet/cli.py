@@ -5,8 +5,8 @@ Exit statuses: 0 success, 1 verification failure or a closed stdout, 2 usage err
 enumeration budget exceeded. ``-h`` or ``--help`` prints the usage of ``COMMANDS``.
 
 A command loads only the layers it runs: ``report`` and ``stringy`` for the
-routes, ``oracle`` for the counts over F_p and ``json`` for the JSON of
-``compute`` and ``zeta`` (``report`` writes a JSON table row itself).
+routes and ``oracle`` for the counts over F_p. No command loads ``json``:
+``report`` writes the JSON of ``compute``, ``zeta`` and ``table`` itself.
 The errors that end a command are ``groth``'s ``InvalidInput`` (exit 2) and
 ``BudgetExceeded`` (exit 3), so ``main`` maps each to its exit status whichever
 layer raised it. A disagreement never ends a command: it is a failing check.
@@ -151,8 +151,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             record = report.compute_record(args.r, args.k, args.variety)
             if args.format == "json":
-                import json
-                print(json.dumps(record, indent=2, sort_keys=True))
+                print(report._json(record, sort_keys=True))
             else:
                 print(report._record_text(record))
             return EXIT_OK if all(ok for _, ok, _ in record["checks"]) else EXIT_FAIL
@@ -185,10 +184,7 @@ def main(argv=None) -> int:
             from . import stringy
             series = stringy.zeta_closed_expansion(args.r, args.order)
             if args.format == "json":
-                import json
-                payload = {str(n): report._poly_pairs(c) for n, c in enumerate(series)}
-                print(json.dumps({"r": args.r, "order": args.order,
-                                  "coefficients": payload}, indent=2))
+                sys.stdout.writelines(report._render_zeta(args.r, args.order, series))
             else:
                 for n, c in enumerate(series):
                     print(f"T^{n}: {c}")

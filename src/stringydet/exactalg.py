@@ -9,7 +9,6 @@ make a ``Fraction``, so a run whose values stay integral never loads it.
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
 """
-from numbers import Rational
 
 
 class EvalAtZeroWithNegativeExponent(ZeroDivisionError):
@@ -82,7 +81,8 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no order")
         return min(self._terms)
 
-    def leading_coeff(self) -> Rational:
+    def leading_coeff(self):
+        """The coefficient of the degree: an int, or a Fraction when it is not integral."""
         return self._terms[self.degree()]
 
     def is_polynomial(self) -> bool:
@@ -149,8 +149,9 @@ class LaurentPoly:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, x) -> Rational:
-        """Exact value at a rational ``x``, nonzero if negative exponents occur."""
+    def evaluate(self, x):
+        """Exact value at a rational ``x``, nonzero if negative exponents occur: an int, or
+        a Fraction when it is not integral."""
         x = _norm(x)
         if not self.is_polynomial():
             if x == 0:

@@ -4,7 +4,7 @@ their modules, so a wrapped or patched function is the one that runs."""
 from math import comb
 
 from . import groth, stringy
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, NotPolynomial
 
 # The closed form and the orbit route of each variety, by name in ``stringy``:
 # looked up at call time, so a wrapped or patched route is the one that runs.
@@ -36,13 +36,17 @@ def _render_uv(pairs: list) -> str:
     return " + ".join(parts) or "0"
 
 
-def _compare(name: str, route: LaurentPoly, reference: LaurentPoly,
-             details: str = "") -> tuple:
-    """A check that two routes agree; a failure names the lowest differing coefficient."""
-    if route == reference:
+def _compare(name: str, route, reference: LaurentPoly, details: str = "") -> tuple:
+    """A check that ``route()`` agrees with the reference; a failure names the lowest
+    differing coefficient, or the exact division that failed on the route."""
+    try:
+        value = route()
+    except NotPolynomial as exc:
+        return name, False, f"not a polynomial: {exc}"
+    if value == reference:
         return name, True, details
-    e = (route - reference).order()
-    return name, False, (f"first difference at q^{e}: route {route.terms.get(e, 0)}, "
+    e = (value - reference).order()
+    return name, False, (f"first difference at q^{e}: route {value.terms.get(e, 0)}, "
                          f"reference {reference.terms.get(e, 0)}")
 
 
@@ -50,14 +54,15 @@ def compute_record(r: int, k: int, variety: str) -> dict:
     """Compute and compare both routes of a variety; the first validates (r, k).
     ``compute --format json`` prints the record, JSON-native: coefficients are
     decimal strings and each check is a list."""
-    closed, summed = (route(r, k) for route in _routes(variety))
+    closed_form, orbit_route = _routes(variety)
+    closed = closed_form(r, k)
     table = stringy.hodge_table(closed)
     return {
         "r": r, "k": k, "variety": variety, "stringyE": _poly_pairs(closed),
         "hodgeDiagonal": {str(p): v for p, v in table.diag.items()},
         "eulerNumber": str(stringy.stringy_euler(closed)), "nonNegative": table.non_negative,
         "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
-        "checks": [list(_compare("closed_equals_orbit_sum", summed, closed,
+        "checks": [list(_compare("closed_equals_orbit_sum", lambda: orbit_route(r, k), closed,
                                  "exact polynomial comparison of the two routes"))],
     }
 
@@ -88,12 +93,12 @@ def suite_identities(rmax: int) -> list:
                 closed_form, orbit_route = _routes(variety)
                 closed[variety, k] = closed_form(r, k)
                 checks.append(_compare(f"{variety}_theorem({r},{k})",
-                                       orbit_route(r, k), closed[variety, k]))
+                                       lambda: orbit_route(r, k), closed[variety, k]))
             g = groth.gauss_binomial(k, r)
             checks.append(_compare(f"subset_sum_is_grassmannian({r},{k})",
-                                   stringy.grassmannian_subset_sum(r, k), g))
+                                   lambda: stringy.grassmannian_subset_sum(r, k), g))
             checks.append(_compare(f"recursion_is_grassmannian({r},{k})",
-                                   stringy.grassmannian_recursive(r, k), g))
+                                   lambda: stringy.grassmannian_recursive(r, k), g))
             checks.append((f"rank_identity({r},{k})", groth.rank_identity_check(r, k), ""))
             euler_a, euler_p = (stringy.stringy_euler(closed[v, k]) for v in VARIETIES)
             checks.append((f"euler_affine({r},{k})", euler_a == comb(r, k), ""))
@@ -101,7 +106,7 @@ def suite_identities(rmax: int) -> list:
             checks.append((f"nonnegativity({r},{k})",
                            stringy.hodge_table(closed["projective", k]).non_negative, ""))
         checks.append(_compare(f"rank_one_resolution({r})",
-                               stringy.stringy_e_from_resolution(
+                               lambda: stringy.stringy_e_from_resolution(
                                    stringy.rank_one_resolution_data(r)),
                                closed["affine", 1]))
     return checks
@@ -135,7 +140,7 @@ def suite_zeta(rmax: int, order: int) -> list:
     return checks
 
 
-# -- table rendering ----------------------------------------------------------
+# -- rendering: tables and JSON ------------------------------------------------
 
 def table_rows(rmax: int, varieties):
     """The rows of ``table``, one at a time: each is read off the Hodge diagonal of its
@@ -188,3 +193,26 @@ def _render_table(rows, fmt: str):
         yield head + line(row)
         head = sep
     yield tail
+
+
+def _json(value, sort_keys: bool = False, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)`` for dicts, lists, ints, bools and
+    strings that need no escaping; ``indent`` starts each line of the value's own level."""
+    if not isinstance(value, (dict, list)):  # a str, an int, or a bool: True is true
+        return f'"{value}"' if isinstance(value, str) else str(value).lower()
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else value.items()
+        body, ends = [f'"{key}": {_json(v, sort_keys, inner)}' for key, v in items], "{}"
+    else:
+        body, ends = [_json(v, sort_keys, inner) for v in value], "[]"
+    return ends[0] + inner + ("," + inner).join(body) + indent + ends[1] if body else ends
+
+
+def _render_zeta(r: int, order: int, series):
+    """``zeta``'s ``json.dumps(..., indent=2)`` in chunks: head with T^0, each T^n, tail."""
+    head, inner = f'{{\n  "r": {r},\n  "order": {order},\n  "coefficients": {{', "\n    "
+    for n, c in enumerate(series):
+        yield f'{head}{inner}"{n}": {_json(_poly_pairs(c), indent=inner)}'
+        head = ","
+    yield "\n  }\n}\n"

@@ -20,7 +20,6 @@ in T, and direct sums over partitions.
 """
 from collections import namedtuple
 from functools import lru_cache, reduce
-from numbers import Rational
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO, _norm
@@ -193,8 +192,9 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
     return HodgeTable(diag=diag)
 
 
-def stringy_euler(p: LaurentPoly) -> Rational:
-    """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial)."""
+def stringy_euler(p: LaurentPoly):
+    """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial):
+    an int, or a Fraction when it is not integral."""
     return _norm(sum(p.terms.values()))
 
 

@@ -79,14 +79,17 @@ def test_oracle_commands_leave_out_stringy_and_json(argv):
 
 
 @pytest.mark.parametrize("argv,status", [
-    *((argv, "0") for argv in STRINGY_COMMANDS + ORACLE_COMMANDS + ["--help", "zeta -h"]),
+    *((argv, "0") for argv in STRINGY_COMMANDS + ORACLE_COMMANDS + [
+        "verify --suite all --rmax 2", "--help", "zeta -h"]),
     ("compute --r 2", "2"), ("table --rmax 3 --format xml", "2"), ("oracle --p 4 --rmax 2", "2"),
 ])
 def test_no_command_loads_fractions_or_getopt(argv, status):
     # values stay integral and the command line is read without getopt, whose
     # gettext, like fractions' decimal, would cost each process about a millisecond;
-    # annotations resolve as they are defined, so no module needs __future__
-    assert not {"fractions", "decimal", "getopt", "gettext", "__future__"} & loaded(argv, status)
+    # annotations resolve as they are defined, so no module needs __future__ or
+    # numbers; ``report`` writes every JSON itself, so no command needs json
+    forbidden = {"fractions", "decimal", "getopt", "gettext", "__future__", "numbers", "json"}
+    assert not forbidden & loaded(argv, status)
 
 
 def test_report_does_not_import_cli():
@@ -117,16 +120,6 @@ def test_closed_stdout_ends_quietly(fmt):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
-
-
-@pytest.mark.parametrize("suite", ["identities", "orbits", "zeta", "oracle", "all"])
-def test_verify_leaves_out_json(suite):
-    assert "json" not in loaded(f"verify --suite {suite} --rmax 2")
-
-
-def test_table_json_leaves_out_json():
-    # a JSON row is written with one format string
-    assert "json" not in loaded("table --rmax 3 --variety both --format json")
 
 
 def test_invalid_input_has_one_class():

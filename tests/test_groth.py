@@ -1,6 +1,7 @@
 """Tests for the building-block classes and the rank stratification."""
 import inspect
 import itertools
+import json
 
 from fractions import Fraction
 from math import comb
@@ -468,11 +469,38 @@ class TestStratumBuilderMutation:
     def test_wrong_factor_fails_the_census_and_stops_the_chain_sum(self, mutant_builder):
         from stringydet import report
 
+        names = [name for name, _, _ in report.suite_identities(4)]
         mutant_builder(WRONG_FACTOR)
         assert failing(oracle.verify_classes(2, 3).checks, "rank_stratum(")
         assert not rank_identity_check(4, 2)
-        with pytest.raises(NotPolynomial):
-            report.suite_identities(4)
+        # the chain sum's exact division fails: a failing check, and every other is listed
+        checks = report.suite_identities(4)
+        assert [name for name, _, _ in checks] == names
+        for prefix in ("subset_sum_is_grassmannian(", "recursion_is_grassmannian(",
+                       "rank_identity("):
+            assert failing(checks, prefix), prefix
+        details = {name: detail for name, _, detail in checks}
+        assert details["subset_sum_is_grassmannian(4,2)"] == (
+            "not a polynomial: not divisible by q^3 - 1")
+
+    def test_wrong_factor_makes_each_command_exit_1_with_its_checks(self, mutant_builder,
+                                                                   capsys):
+        from stringydet import report
+        from stringydet.cli import EXIT_FAIL, main
+
+        names = [name for name, _, _ in report.suite_identities(3)]
+        mutant_builder(WRONG_FACTOR)
+        assert main(["compute", "--r", "4", "--k", "2", "--format", "json"]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["checks"] == [
+            ["closed_equals_orbit_sum", False, "not a polynomial: not divisible by q^3 - 1"]]
+        assert main(["verify", "--suite", "identities", "--rmax", "3"]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split()[1] for line in out.splitlines()] == names
+        assert ("FAIL  recursion_is_grassmannian(3,2)  "
+                "(not a polynomial: not divisible by q^2 - 1)") in out.splitlines()
 
 
 class TestRankIdentity:
