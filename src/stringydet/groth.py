@@ -62,20 +62,11 @@ def _over_factors(coeffs: list, exponents) -> list:
     return [-c for c in coeffs] if len(exponents) % 2 else coeffs
 
 
-def _factor_ratio(p: LaurentPoly, times, over=()) -> LaurentPoly:
-    """``p`` times q^a - 1 for a in ``times``, over q^a - 1 for a in ``over``, on one list."""
+def factor_ratio(p: LaurentPoly, times, over=()) -> LaurentPoly:
+    """``p`` times q^a - 1 for a in ``times``, over q^a - 1 for a in ``over``, on one list;
+    NotPolynomial if a division is not exact."""
     coeffs = _over_factors(_times_factors(_dense(p), times), over)
     return ZERO if p.is_zero() else _from_dense(coeffs, p.order())
-
-
-def q_factor_product(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
-    """``base`` times the product of q^a - 1 over the exponents a, in order."""
-    return _factor_ratio(base, exponents)
-
-
-def q_factor_quotient(exponents, num: LaurentPoly) -> LaurentPoly:
-    """``num`` over the product of q^a - 1 over the exponents a; NotPolynomial if not exact."""
-    return _factor_ratio(num, (), exponents)
 
 
 @lru_cache(maxsize=None)
@@ -83,23 +74,17 @@ def class_gl(d: int) -> LaurentPoly:
     """Class of GL_d: q^{d(d-1)/2} (q^d - 1)(q^{d-1} - 1) ... (q - 1)."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
-    return _from_dense(_times_factors([1], range(1, d + 1)), d * (d - 1) // 2)
+    return factor_ratio(ONE, range(1, d + 1)).shift(d * (d - 1) // 2)
 
 
 @lru_cache(maxsize=None)
 def gauss_binomial(d: int, k: int) -> LaurentPoly:
-    """The Gaussian binomial: class of d-dimensional subspaces of k-space.
-
-    Evaluates prod_{j=1}^{d} (q^{j+k-d} - 1)/(q^j - 1), d = min(d, k - d), one factor
-    at a time: step j leaves [j+k-d choose j], so every division is exact.
-    """
+    """The Gaussian binomial: class of d-dimensional subspaces of k-space,
+    prod_{j=1}^{e} (q^{j+k-e} - 1)/(q^j - 1) with e = min(d, k - d), on one list."""
     if d < 0 or k < 0 or d > k:
         raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
-    d = min(d, k - d)
-    coeffs = [1]
-    for j in range(1, d + 1):
-        coeffs = _over_factors(_times_factors(coeffs, [j + k - d]), [j])
-    return _from_dense(coeffs)
+    e = min(d, k - d)
+    return factor_ratio(ONE, range(k - e + 1, k + 1), range(1, e + 1))
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +104,8 @@ def rank_stratum_class(r: int, s: int, j: int, base: LaurentPoly = ONE,
     if not 0 <= j <= min(r, s):
         raise InvalidInput(f"need 0 <= j <= min(r, s), got j={j}")
     e = min(j, r - j)
-    return _factor_ratio(base, [*times, *range(s - j + 1, s + 1), *range(r - e + 1, r + 1)],
-                         range(1, e + 1)).shift(j * (j - 1) // 2)
+    return factor_ratio(base, [*times, *range(s - j + 1, s + 1), *range(r - e + 1, r + 1)],
+                        range(1, e + 1)).shift(j * (j - 1) // 2)
 
 
 def rank_identity_check(r: int, k: int) -> bool:

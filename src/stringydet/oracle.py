@@ -10,6 +10,7 @@ sizes before anything is enumerated.
 """
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 from operator import add
 from types import MappingProxyType
@@ -62,11 +63,6 @@ def check_budget(candidates: int, budget: int) -> None:
         raise BudgetExceeded(f"{candidates} candidates exceed the budget {budget}")
 
 
-_row_counts: dict = {}       # (p, s) -> number of rows of F_p^s, counted
-_class_memo: dict = {}       # (p, span) -> ((grown span, rows that grow it), ...)
-_completion_memo: dict = {}  # (p, s, rows left, span) -> ways, by rank gained
-
-
 def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCensus:
     """Rank histogram of all p^{rs} matrices.
 
@@ -83,6 +79,13 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
     return RankCensus(MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)}))
 
 
+@lru_cache(maxsize=None)
+def _row_count(p: int, s: int) -> int:
+    """The number of rows of F_p^s, counted, not stored: for r = 1, p^s may reach the budget."""
+    return sum(1 for _ in itertools.product(range(p), repeat=s))
+
+
+@lru_cache(maxsize=None)
 def _completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:
     """Ways to append ``rows_left`` rows of F_p^s to rows spanning ``span``, by rank gained.
 
@@ -90,43 +93,32 @@ def _completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:
     outside are counted in classes by the span they generate, except the last
     row. Neither r nor the rows above matter, so every census of p, s shares it.
     """
-    ways = _completion_memo.get((p, s, rows_left, span))
-    if ways is not None:
-        return ways
     if rows_left == 0:
-        ways = (1,)
-    elif rows_left == 1:
-        rows = _row_counts.get((p, s))
-        if rows is None:  # counted, not stored: for r = 1, p^s may reach the budget
-            rows = _row_counts[(p, s)] = sum(1 for _ in itertools.product(range(p), repeat=s))
-        ways = (len(span), rows - len(span))
-    else:
-        tally = [len(span) * n for n in _completions(p, s, rows_left - 1, span)] + [0]
-        for grown, size in _classes_outside(p, s, span):
-            for gained, n in enumerate(_completions(p, s, rows_left - 1, grown), 1):
-                tally[gained] += size * n
-        ways = tuple(tally)
-    _completion_memo[p, s, rows_left, span] = ways
-    return ways
+        return (1,)
+    if rows_left == 1:
+        return (len(span), _row_count(p, s) - len(span))
+    tally = [len(span) * n for n in _completions(p, s, rows_left - 1, span)] + [0]
+    for grown, size in _classes_outside(p, s, span):
+        for gained, n in enumerate(_completions(p, s, rows_left - 1, grown), 1):
+            tally[gained] += size * n
+    return tuple(tally)
 
 
+@lru_cache(maxsize=None)
 def _classes_outside(p: int, s: int, span: frozenset) -> tuple:
     """Rows outside ``span`` grouped by the span each generates with it."""
-    classes = _class_memo.get((p, span))
-    if classes is None:
-        mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
-        covered, classes = set(span), []
-        for row in itertools.product(range(p), repeat=s):
-            if row in covered:
-                continue
-            grown, coset = set(span), span
-            for _ in range(p - 1):
-                coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
-                grown |= coset
-            covered |= grown
-            classes.append((frozenset(grown), len(grown) - len(span)))
-        classes = _class_memo[(p, span)] = tuple(classes)
-    return classes
+    mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
+    covered, classes = set(span), []
+    for row in itertools.product(range(p), repeat=s):
+        if row in covered:
+            continue
+        grown, coset = set(span), span
+        for _ in range(p - 1):
+            coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
+            grown |= coset
+        covered |= grown
+        classes.append((frozenset(grown), len(grown) - len(span)))
+    return tuple(classes)
 
 
 def census_candidates(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> int:

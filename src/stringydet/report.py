@@ -122,7 +122,7 @@ def suite_orbits(rmax: int) -> list:
             closed = _routes(variety)[0](r, k)
             if variety == "projective":
                 # the truncated projective sum leaves the 1/(q - 1) factor out
-                closed = groth.q_factor_product([1], closed)
+                closed = groth.factor_ratio(closed, [1])
             partial = stringy.truncated_orbit_sum(r, k, cap, variety)
             stable = {e: c for e, c in partial.terms.items() if e > bound}
             expect = {e: c for e, c in closed.terms.items() if e > bound}

@@ -23,8 +23,8 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO, _norm
-from .groth import (InvalidInput, _factor_ratio, class_gl, gauss_binomial, partition_tails,
-                    q_factor_product, q_factor_quotient, rank_stratum_class)
+from .groth import (InvalidInput, class_gl, factor_ratio, gauss_binomial, partition_tails,
+                    rank_stratum_class)
 
 
 class HodgeTable(namedtuple("HodgeTable", "diag")):
@@ -118,7 +118,7 @@ def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
     """
     _check_rk(r, k)
     num, den_exponents = _orbit_chain_sum(r, k)
-    return q_factor_quotient(den_exponents, num)
+    return factor_ratio(num, (), den_exponents)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +138,7 @@ def grassmannian_recursive(r: int, k: int) -> LaurentPoly:
     for m in range(r - k, r):
         # times [GL_{r-m}][G(r-m, r)]^2, the step m -> r of the chain sum
         total = total + rank_stratum_class(r, r, r - m, grassmannian_recursive(m, k + m - r))
-    return q_factor_quotient([k * r], total)
+    return factor_ratio(total, (), [k * r])
 
 
 # -- stringy E-functions ----------------------------------------------------
@@ -154,16 +154,11 @@ def stringy_e_affine_from_orbits(r: int, k: int) -> LaurentPoly:
     return grassmannian_subset_sum(r, k).shift(k * r)
 
 
-def _ladder(n: int, p: LaurentPoly) -> LaurentPoly:
-    """(1 + q + ... + q^{n-1}) p, [P^{n-1}] times p: (q^n - 1) p over q - 1, which is
-    a running sum of the coefficients, O(deg p + n)."""
-    return _factor_ratio(p, [n], [1])
-
-
 def stringy_e_projective(r: int, k: int) -> LaurentPoly:
-    """Closed form: (1 + q + ... + q^{kr-1}) * [G(k, r)]."""
+    """Closed form: (1 + q + ... + q^{kr-1}) * [G(k, r)], that is (q^{kr} - 1)/(q - 1)
+    times it, a running sum of the coefficients."""
     _check_rk(r, k, k_min=1)
-    return _ladder(k * r, gauss_binomial(k, r))
+    return factor_ratio(gauss_binomial(k, r), [k * r], [1])
 
 
 def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
@@ -175,7 +170,7 @@ def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
     subset sum.
     """
     _check_rk(r, k, k_min=1)
-    return _ladder(k * r, grassmannian_subset_sum(r, k))
+    return factor_ratio(grassmannian_subset_sum(r, k), [k * r], [1])
 
 
 # -- Hodge and Euler numbers -------------------------------------------------
@@ -209,9 +204,9 @@ def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
     """
     total = ZERO
     for e_poly, idx in data.strata:
-        total = total + q_factor_product(
-            (1 if i in idx else a for i, a in enumerate(data.discrepancies)), e_poly)
-    return q_factor_quotient(data.discrepancies, total)
+        total = total + factor_ratio(
+            e_poly, (1 if i in idx else a for i, a in enumerate(data.discrepancies)))
+    return factor_ratio(total, (), data.discrepancies)
 
 
 def rank_one_resolution_data(r: int) -> ResolutionData:
@@ -224,9 +219,9 @@ def rank_one_resolution_data(r: int) -> ResolutionData:
     """
     if r < 2:
         raise InvalidInput("need r >= 2 for a singular rank-1 locus")
-    ladder = _ladder(r, ONE)
-    off_divisor = q_factor_product([r], ladder)  # E(D^1) - 1
-    exceptional = _ladder(r, ladder)
+    ladder = factor_ratio(ONE, [r], [1])  # [P^{r-1}]
+    off_divisor = factor_ratio(ladder, [r])  # E(D^1) - 1
+    exceptional = factor_ratio(ladder, [r], [1])
     return ResolutionData(strata=((off_divisor, frozenset()),
                                   (exceptional, frozenset({0}))),
                           discrepancies=(r,))

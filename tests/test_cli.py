@@ -545,8 +545,8 @@ class TestCommandErrors:
         (stringy.hodge_table, (q_pow(-1),), "stringy Hodge numbers need a polynomial"),
         (stringy.hodge_table, (LaurentPoly({0: Fraction(1, 2)}),),
          "non-integer coefficient 1/2 at q^0"),
-        (groth.q_factor_quotient, ([-1], q_pow(1) - 1), "exponents must be positive, got -1"),
-        (groth.q_factor_product, ([-1],), "exponents must be positive, got -1"),
+        (groth.factor_ratio, (q_pow(1) - 1, (), [-1]), "exponents must be positive, got -1"),
+        (groth.factor_ratio, (ONE, [-1]), "exponents must be positive, got -1"),
     ], ids=["gl", "gauss_binomial", "independent_tuples", "rank_stratum", "rank_identity",
             "rank_census", "hodge_laurent", "hodge_fraction", "factor_quotient",
             "factor_product"])

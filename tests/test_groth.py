@@ -1,7 +1,9 @@
 """Tests for the building-block classes and the rank stratification."""
+import ast
 import inspect
 import itertools
 import json
+import pathlib
 
 from fractions import Fraction
 from math import comb
@@ -13,13 +15,11 @@ from stringydet.exactalg import (DivisionByZero, NotPolynomial, ONE, ZERO, Laure
                                  _from_dense, q_pow)
 from stringydet.groth import (
     InvalidInput,
-    _factor_ratio,
     class_gl,
     class_independent_tuples,
+    factor_ratio,
     gauss_binomial,
     partition_tails,
-    q_factor_product,
-    q_factor_quotient,
     rank_identity_check,
     rank_stratum_class,
 )
@@ -48,14 +48,15 @@ def gauss_binomial_partition_sum(d: int, k: int) -> LaurentPoly:
 
 
 def gauss_binomial_long_division(d: int, k: int) -> LaurentPoly:
-    """The product formula with one dense long division, the other reference."""
-    num = q_factor_product(range(k - d + 1, k + 1))
-    return num.divide_exact(q_factor_product(range(1, d + 1)))
+    """The product formula with one dense long division, the other reference; its
+    factor products are built by the sparse loop, not by the builder it checks."""
+    num = factor_product_by_terms(range(k - d + 1, k + 1))
+    return num.divide_exact(factor_product_by_terms(range(1, d + 1)))
 
 
 def factor_product_by_terms(exponents, base: LaurentPoly = ONE) -> LaurentPoly:
     """base times the product of q^a - 1, one sparse shift and subtraction per factor:
-    the reference for the dense core of q_factor_product and q_factor_quotient."""
+    the reference for the dense core of factor_ratio."""
     result = base
     for a in exponents:
         result = result.shift(a) - result
@@ -84,21 +85,21 @@ class TestDenseCore:
     # exponents are all drawn
     @given(laurent_polys, st.lists(st.integers(0, 7), max_size=5))
     def test_product_matches_the_sparse_loop(self, base, exponents):
-        product = q_factor_product(exponents, base)
+        product = factor_ratio(base, exponents)
         assert product == factor_product_by_terms(exponents, base)
         assert normalised(product)
 
     @given(laurent_polys, factor_exponents)
     def test_quotient_undoes_the_sparse_loop(self, base, exponents):
-        quotient = q_factor_quotient(exponents, factor_product_by_terms(exponents, base))
+        quotient = factor_ratio(factor_product_by_terms(exponents, base), (), exponents)
         assert quotient == base
         assert normalised(quotient)
 
     @given(int_polys, factor_exponents)
     def test_int_inputs_give_int_outputs(self, base, exponents):
-        product = q_factor_product(exponents, base)
+        product = factor_ratio(base, exponents)
         assert all_int(product)
-        assert all_int(q_factor_quotient(exponents, product))
+        assert all_int(factor_ratio(product, (), exponents))
 
     @given(st.lists(coefficients, max_size=8), st.integers(-9, 9))
     def test_from_dense_takes_the_order(self, coeffs, low):
@@ -109,12 +110,12 @@ class TestDenseCore:
             low: 2, low + 1: Fraction(1, 2)}
 
     def test_zero_exponent_product_is_zero(self):
-        assert q_factor_product([0]) == ZERO
-        assert q_factor_product([2, 0, 3], LaurentPoly({-1: Fraction(1, 3)})) == ZERO
+        assert factor_ratio(ONE, [0]) == ZERO
+        assert factor_ratio(LaurentPoly({-1: Fraction(1, 3)}), [2, 0, 3]) == ZERO
 
-    @pytest.mark.parametrize("call", [lambda: q_factor_product([-1]),
-                                      lambda: q_factor_product([2, -1], ZERO),
-                                      lambda: q_factor_quotient([2, -1], ZERO)],
+    @pytest.mark.parametrize("call", [lambda: factor_ratio(ONE, [-1]),
+                                      lambda: factor_ratio(ZERO, [2, -1]),
+                                      lambda: factor_ratio(ZERO, (), [2, -1])],
                              ids=["product", "product_of_zero", "quotient_of_zero"])
     def test_negative_exponent_is_invalid_input(self, call):
         # padding a list by a negative length would misalign it, so it is refused,
@@ -126,9 +127,9 @@ class TestDenseCore:
 class TestQFactorQuotient:
     @given(laurent_polys, factor_exponents)
     def test_undoes_the_product(self, base, exponents):
-        num = q_factor_product(exponents, base)
-        quotient = q_factor_quotient(exponents, num)
-        assert quotient == num.divide_exact(q_factor_product(exponents))
+        num = factor_ratio(base, exponents)
+        quotient = factor_ratio(num, (), exponents)
+        assert quotient == num.divide_exact(factor_ratio(ONE, exponents))
         assert quotient == base
 
     @given(laurent_polys, factor_exponents)
@@ -137,37 +138,37 @@ class TestQFactorQuotient:
             want = num.divide_exact(factor_product_by_terms(exponents))
         except NotPolynomial:
             with pytest.raises(NotPolynomial):
-                q_factor_quotient(exponents, num)
+                factor_ratio(num, (), exponents)
         else:
-            assert q_factor_quotient(exponents, num) == want
+            assert factor_ratio(num, (), exponents) == want
 
     def test_non_divisible_input_raises(self):
         for exponents, num in [([2], Q), ([1], Q + 1), ([3], ONE), ([1, 1], Q - 1),
-                               ([2, 3], q_factor_product([2, 2]))]:
+                               ([2, 3], factor_ratio(ONE, [2, 2]))]:
             with pytest.raises(NotPolynomial):
-                q_factor_quotient(exponents, num)
+                factor_ratio(num, (), exponents)
 
     def test_zero_exponent_is_division_by_zero(self):
-        for exponents, num in [([0], ONE), ([0], ZERO), ([2, 0], q_factor_product([2]))]:
+        for exponents, num in [([0], ONE), ([0], ZERO), ([2, 0], factor_ratio(ONE, [2]))]:
             with pytest.raises(DivisionByZero):
-                q_factor_quotient(exponents, num)
+                factor_ratio(num, (), exponents)
 
     def test_negative_exponent_is_rejected(self):
         # q^{-1} - 1 = -q^{-1}(q - 1) would divide, but the exponents must be positive
         with pytest.raises(InvalidInput, match="exponents must be positive"):
-            q_factor_quotient([-1], Q - 1)
+            factor_ratio(Q - 1, (), [-1])
 
     def test_int_inputs_stay_int(self):
-        quotient = q_factor_quotient([1, 2], q_factor_product([1, 2, 5]))
-        assert quotient == q_factor_product([5])
+        quotient = factor_ratio(factor_ratio(ONE, [1, 2, 5]), (), [1, 2])
+        assert quotient == factor_ratio(ONE, [5])
         assert all(type(c) is int for c in quotient.terms.values())
 
 
 class TestQFactorProduct:
     def test_empty_product_is_the_base(self):
-        assert q_factor_product([]) == ONE
+        assert factor_ratio(ONE, []) == ONE
         base = LaurentPoly({-2: Fraction(1, 2), 3: -7})
-        assert q_factor_product([], base) == base
+        assert factor_ratio(base, []) == base
 
     def test_base_times_the_factors(self):
         # against products of the factors built term by term
@@ -176,8 +177,8 @@ class TestQFactorProduct:
             want = base
             for a in exponents:
                 want = want * LaurentPoly({a: 1, 0: -1})
-            assert q_factor_product(exponents, base) == want, exponents
-            assert q_factor_product(iter(exponents)) * base == want, exponents
+            assert factor_ratio(base, exponents) == want, exponents
+            assert factor_ratio(ONE, iter(exponents)) * base == want, exponents
 
 
 class TestGeneralLinear:
@@ -365,15 +366,15 @@ class TestRankStrata:
 def times_step_reference(p: LaurentPoly, d: int, b: int, skipped=()) -> LaurentPoly:
     """The chain step b - d -> b as the orbit and zeta routes built it: p times q^a - 1
     for a in ``skipped`` and [GL_d][G(d, b)]^2 on one reduced factor list."""
-    return _factor_ratio(p, [*skipped, *range(b - d + 1, b + 1), *range(max(d, b - d) + 1, b + 1)],
-                         range(1, min(d, b - d) + 1)).shift(d * (d - 1) // 2)
+    return factor_ratio(p, [*skipped, *range(b - d + 1, b + 1), *range(max(d, b - d) + 1, b + 1)],
+                        range(1, min(d, b - d) + 1)).shift(d * (d - 1) // 2)
 
 
 def recursion_step_reference(p: LaurentPoly, r: int, m: int) -> LaurentPoly:
     """The step m -> r as the recursion built it, unreduced: p (q^{m+1}-1)^2 ... (q^r-1)^2
     over (q-1) ... (q^{r-m}-1), times q^{(r-m)(r-m-1)/2}."""
-    return _factor_ratio(p, [*range(m + 1, r + 1)] * 2,
-                         range(1, r - m + 1)).shift((r - m) * (r - m - 1) // 2)
+    return factor_ratio(p, [*range(m + 1, r + 1)] * 2,
+                        range(1, r - m + 1)).shift((r - m) * (r - m - 1) // 2)
 
 
 def independent_tuples_by_shifts(d: int, k: int) -> LaurentPoly:
@@ -413,10 +414,10 @@ class TestStratumBuilder:
     def test_base_and_extra_factors(self, base, r, s, j, times):
         j = min(j, r, s)
         got = rank_stratum_class(r, s, j, base, times)
-        assert got == base * q_factor_product(times) * stratum_by_product(r, s, j)
+        assert got == base * factor_ratio(ONE, times) * stratum_by_product(r, s, j)
         if r == s:
             assert got == times_step_reference(base, j, r, times)
-            assert got == recursion_step_reference(q_factor_product(times, base), r, r - j)
+            assert got == recursion_step_reference(factor_ratio(base, times), r, r - j)
 
 
 # A wrong factor of the stratum builder, as (its text, the mutant's): a wrong power of q
@@ -525,3 +526,39 @@ def test_partition_tail_enumeration():
             want = [t for t in itertools.product(range(cap + 1), repeat=k)
                     if all(a >= b for a, b in zip(t, t[1:]))]
             assert sorted(tails) == want, (k, cap)
+
+
+def private_groth_names(source: str) -> list:
+    """The ``_`` names of ``groth`` that a module's source imports or reaches by attribute."""
+    tree = ast.parse(source)
+    modules = {"groth"}  # the local names bound to the groth module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "stringydet"):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "groth"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.name == "stringydet.groth" and alias.asname}
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "groth":
+            reached += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and (
+                isinstance(node.value, ast.Name) and node.value.id in modules
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "groth"):
+            reached.append(node.attr)
+    return reached
+
+
+def test_only_groth_uses_its_private_names():
+    # factor_ratio is the one entry to the dense builder; the list helpers behind it
+    # stay inside groth
+    assert private_groth_names("from .groth import InvalidInput, _dense") == ["_dense"]
+    assert private_groth_names("from . import groth as g\ng._x(groth._y)") == ["_x", "_y"]
+    assert private_groth_names("import stringydet.groth\nstringydet.groth._z") == ["_z"]
+    assert private_groth_names("from .stringy import _orbit_class\nstringy._a") == []
+    package = pathlib.Path(oracle.__file__).parent
+    reached = {path.name: private_groth_names(path.read_text())
+               for path in sorted(package.glob("*.py")) if path.name != "groth.py"}
+    assert "stringy.py" in reached
+    assert {name: names for name, names in reached.items() if names} == {}

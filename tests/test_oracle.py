@@ -84,21 +84,8 @@ def _tally_ranks(p: int, r: int, s: int) -> Counter:
 
 
 def _clear_census_caches():
-    for memo in (oracle._row_counts, oracle._class_memo, oracle._completion_memo):
-        memo.clear()
-
-
-class _Lookups(dict):
-    """A memo that records every key it answers."""
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.hits = set()
-
-    def get(self, key, default=None):
-        if key in self:
-            self.hits.add(key)
-        return super().get(key, default)
+    for cache in (oracle._row_count, oracle._classes_outside, oracle._completions):
+        cache.cache_clear()
 
 
 class TestPrimeField:
@@ -223,9 +210,9 @@ class TestCensus:
     def test_warm_memos_match_cold(self):
         _clear_census_caches()
         rank_census(2, 4, 4)
-        entries = len(oracle._completion_memo)
+        entries = oracle._completions.cache_info().currsize
         warm = rank_census(2, 3, 4)
-        assert len(oracle._completion_memo) == entries  # a lookup, nothing new
+        assert oracle._completions.cache_info().currsize == entries  # a lookup, nothing new
         with pytest.raises(TypeError):
             warm.counts[3] = 0
         _clear_census_caches()
@@ -233,20 +220,16 @@ class TestCensus:
         assert warm == cold
         assert dict(warm.counts) == {0: 1, 1: 105, 2: 1470, 3: 2520}
 
-    def test_memos_are_keyed_by_prime_and_width(self, monkeypatch):
+    def test_memos_are_keyed_by_prime_and_width(self):
+        # a census of another prime or width, computed after the 2 x 4 x 4 one, must not
+        # answer from its memos: each equals its value from cold caches
+        shapes = ((3, 3, 4), (2, 4, 5), (2, 4, 3), (5, 2, 4))
         _clear_census_caches()
         rank_census(2, 4, 4)
-        completions = dict(oracle._completion_memo)
-        classes = dict(oracle._class_memo)
-        assert {key[:2] for key in completions} == {(2, 4)}
-        for name in ("_completion_memo", "_class_memo"):
-            monkeypatch.setattr(oracle, name, _Lookups(getattr(oracle, name)))
-        for p, r, s in ((3, 3, 4), (2, 4, 5), (2, 4, 3), (5, 2, 4)):
-            rank_census(p, r, s)
-        assert not oracle._completion_memo.hits & completions.keys()
-        assert not oracle._class_memo.hits & classes.keys()
-        assert oracle._completion_memo.hits and oracle._class_memo.hits
-        assert all(oracle._completion_memo[key] == ways for key, ways in completions.items())
+        warm = {shape: rank_census(*shape) for shape in shapes}
+        for shape in shapes:
+            _clear_census_caches()
+            assert warm[shape] == rank_census(*shape), shape
 
 
 def subspaces(p: int, d: int, n: int) -> Fraction:

@@ -8,10 +8,9 @@ from hypothesis import given, strategies as st
 
 from stringydet import stringy
 from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
-from stringydet.groth import (class_gl, gauss_binomial, partition_tails, q_factor_product,
+from stringydet.groth import (class_gl, factor_ratio, gauss_binomial, partition_tails,
                               rank_stratum_class)
 from stringydet.stringy import (
-    _ladder,
     _orbit_chain_sum,
     HodgeTable,
     InvalidInput,
@@ -137,20 +136,20 @@ class TestChainSum:
         # the step b - d -> b applied on one coefficient list, against the product of
         # p and [GL_d][G(d, b)]^2 built from the class builders
         b = d + extra
-        want = p * class_gl(d) * gauss_binomial(d, b) ** 2 * q_factor_product(skipped)
+        want = p * class_gl(d) * gauss_binomial(d, b) ** 2 * factor_ratio(ONE, skipped)
         assert rank_stratum_class(b, b, d, p, skipped) == want
 
     def test_matches_subset_enumeration(self):
         for r in range(2, 8):
             for k in range(1, r):
                 num, den = _orbit_chain_sum(r, k)
-                assert (num, q_factor_product(den)) == subset_sum_numerator(r, k), (r, k)
+                assert (num, factor_ratio(ONE, den)) == subset_sum_numerator(r, k), (r, k)
 
 
 class TestProjective:
     @given(st.integers(0, 40), laurent_polys)
     def test_ladder_matches_the_dense_product(self, n, p):
-        assert _ladder(n, p) == LaurentPoly({i: 1 for i in range(n)}) * p
+        assert factor_ratio(p, [n], [1]) == LaurentPoly({i: 1 for i in range(n)}) * p
 
     def test_product_of_lines(self):
         assert stringy_e_projective(2, 1) == LaurentPoly({0: 1, 1: 2, 2: 1})
