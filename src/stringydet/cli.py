@@ -20,6 +20,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+_ORBITS_RMAX = 4  # the largest r of the orbits suite
+_ZETA_RMAX = 3  # the largest r of the zeta suite
 _ORACLE_RMAX = 4  # the largest r of the oracle suite, whose censuses grow as p^(r^2)
 
 
@@ -161,9 +163,9 @@ def main(argv=None) -> int:
             if args.suite in ("identities", "all"):
                 checks += report.suite_identities(args.rmax)
             if args.suite in ("orbits", "all"):
-                checks += report.suite_orbits(_clamp("orbits", args.rmax, 4))
+                checks += report.suite_orbits(_clamp("orbits", args.rmax, _ORBITS_RMAX))
             if args.suite in ("zeta", "all"):
-                checks += report.suite_zeta(_clamp("zeta", args.rmax, 3), args.order)
+                checks += report.suite_zeta(_clamp("zeta", args.rmax, _ZETA_RMAX), args.order)
             if args.suite in ("oracle", "all"):
                 rmax = _clamp("oracle", args.rmax, _ORACLE_RMAX)
                 checks += oracle.verify_classes(args.p, rmax, args.budget).checks

@@ -87,8 +87,11 @@ def test_no_command_loads_fractions_or_getopt(argv, status):
     # values stay integral and the command line is read without getopt, whose
     # gettext, like fractions' decimal, would cost each process about a millisecond;
     # annotations resolve as they are defined, so no module needs __future__ or
-    # numbers; ``report`` writes every JSON itself, so no command needs json
-    forbidden = {"fractions", "decimal", "getopt", "gettext", "__future__", "numbers", "json"}
+    # numbers; ``report`` writes every JSON itself, so no command needs json; no
+    # command builds a rational function, takes a gcd or divides by more than
+    # q^a - 1, so none compiles ``rational``
+    forbidden = {"fractions", "decimal", "getopt", "gettext", "__future__", "numbers", "json",
+                 "stringydet.rational"}
     assert not forbidden & loaded(argv, status)
 
 

@@ -444,3 +444,13 @@ def test_immutability():
     t = p.terms
     t[99] = 5
     assert p == q_pow(2)
+
+
+def test_rational_layer_is_one_copy_reached_through_exactalg():
+    from stringydet import exactalg, rational
+    from stringydet.exactalg import RationalFn as imported
+    assert exactalg.RationalFn is rational.RationalFn is imported
+    assert exactalg.laurent_gcd is rational.laurent_gcd
+    with pytest.raises(AttributeError, match="'stringydet.exactalg' has no attribute 'nosuch'"):
+        exactalg.nosuch
+    assert not hasattr(exactalg, "nosuch")
