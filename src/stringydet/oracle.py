@@ -1,18 +1,18 @@
 """Brute-force verification over small prime fields.
 
-Every class polynomial, specialized at q = p, must equal an exhaustive
-count over the p-element field: invertible matrices, subspaces, rank
-strata, all from one rank census for every prime. The census counts row
-classes memoised on (rows left, span), never matrices one by one, and no
-class formula enters it. Enumeration is deterministic, so any failure is
-reproducible; a budget guard over all censuses of a run rejects infeasible
-sizes before anything is enumerated.
+Every class polynomial, specialized at q = p, must equal an exhaustive count
+over the p-element field: invertible matrices, subspaces, rank strata, all
+from one rank census for every prime. The census counts row classes memoised
+on (rows left, span), never matrices one by one, and no class formula enters
+it. A row is one int with a guarded bit field per entry, two rows add mod p in
+a few int operations, and each subspace is one interned frozenset of rows.
+Enumeration is deterministic, so any failure is reproducible; a budget guard
+over all censuses of a run rejects infeasible sizes before anything is enumerated.
 """
 import itertools
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import add
 from types import MappingProxyType
 
 from .groth import (BudgetExceeded, InvalidInput, UnsupportedPrime, class_gl,
@@ -20,6 +20,7 @@ from .groth import (BudgetExceeded, InvalidInput, UnsupportedPrime, class_gl,
 
 DEFAULT_BUDGET = 2 * 10 ** 8
 PRIME_CAP = 7
+_SPANS = {}  # every span the census has grown, one frozenset per subspace for all memos
 
 
 class RankCensus(namedtuple("RankCensus", "counts")):
@@ -75,7 +76,7 @@ def rank_census(p: int, r: int, s: int, budget: int = DEFAULT_BUDGET) -> RankCen
         raise InvalidInput(f"need r >= 0 and s >= 0, got r={r}, s={s}")
     _check_exponent(p, r, s, budget)
     check_budget(p ** (r * s), budget)
-    tally = _completions(p, s, r, frozenset({(0,) * s}))
+    tally = _completions(p, s, r, frozenset({0}))
     return RankCensus(MappingProxyType({j: tally[j] for j in range(min(r, s) + 1)}))
 
 
@@ -105,19 +106,38 @@ def _completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _rows(p: int, s: int) -> tuple:
+    """Every row of F_p^s in ``itertools.product`` order, as an int with a field of w + 1 bits
+    per entry, w = (2p - 2).bit_length(), whose top bit is a guard; then ``bias``, 2^w - p in
+    every field, ``guards``, every guard bit, and w: the masks of ``_translate``."""
+    w = (2 * p - 2).bit_length()
+    ones, rows = sum(1 << (w + 1) * i for i in range(s)), [0]
+    for _ in range(s):
+        rows = [row << (w + 1) | d for row in rows for d in range(p)]
+    return tuple(rows), (2 ** w - p) * ones, ones << w, w
+
+
+def _translate(p: int, vectors, row: int, bias: int, guards: int, w: int) -> set:
+    """Each vector a plus ``row`` mod p, with no p^(2s) table: t = a + row has every entry at
+    most 2p - 2 < 2^w, so no carry crosses a field, and t + bias sets a guard iff its entry >= p."""
+    return {t - p * (((t + bias) & guards) >> w) for t in (a + row for a in vectors)}
+
+
+@lru_cache(maxsize=None)
 def _classes_outside(p: int, s: int, span: frozenset) -> tuple:
-    """Rows outside ``span`` grouped by the span each generates with it."""
-    mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
+    """Rows outside ``span`` grouped by the span each generates with it, interned in ``_SPANS``."""
+    rows, *masks = _rows(p, s)
     covered, classes = set(span), []
-    for row in itertools.product(range(p), repeat=s):
+    for row in rows:
         if row in covered:
             continue
         grown, coset = set(span), span
         for _ in range(p - 1):
-            coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
+            coset = _translate(p, coset, row, *masks)
             grown |= coset
         covered |= grown
-        classes.append((frozenset(grown), len(grown) - len(span)))
+        grown = frozenset(grown)
+        classes.append((_SPANS.setdefault(grown, grown), len(grown) - len(span)))
     return tuple(classes)
 
 

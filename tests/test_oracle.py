@@ -1,10 +1,13 @@
 """Tests for the finite-field brute-force oracle."""
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stringydet import groth, oracle
 from stringydet.exactalg import ONE
@@ -83,9 +86,69 @@ def _tally_ranks(p: int, r: int, s: int) -> Counter:
     return tally
 
 
+@lru_cache(maxsize=None)
+def _reference_completions(p: int, s: int, rows_left: int, span: frozenset) -> tuple:
+    """The census on tuple vectors: ways to append ``rows_left`` rows of F_p^s to rows
+    spanning ``span``, by rank gained, with rows outside counted in classes by their span."""
+    if rows_left == 0:
+        return (1,)
+    if rows_left == 1:
+        return (len(span), p ** s - len(span))
+    tally = [len(span) * n for n in _reference_completions(p, s, rows_left - 1, span)] + [0]
+    for grown, size in _reference_classes_outside(p, s, span):
+        for gained, n in enumerate(_reference_completions(p, s, rows_left - 1, grown), 1):
+            tally[gained] += size * n
+    return tuple(tally)
+
+
+@lru_cache(maxsize=None)
+def _reference_classes_outside(p: int, s: int, span: frozenset) -> tuple:
+    """Rows outside ``span`` grouped by the span each generates with it, added by tuples."""
+    mod_p = tuple(x % p for x in range(2 * p - 1)).__getitem__
+    covered, classes = set(span), []
+    for row in itertools.product(range(p), repeat=s):
+        if row in covered:
+            continue
+        grown, coset = set(span), span
+        for _ in range(p - 1):
+            coset = {tuple(map(mod_p, map(add, a, row))) for a in coset}
+            grown |= coset
+        covered |= grown
+        classes.append((frozenset(grown), len(grown) - len(span)))
+    return tuple(classes)
+
+
+def _reference_census(p: int, r: int, s: int) -> dict:
+    tally = _reference_completions(p, s, r, frozenset({(0,) * s}))
+    return {j: tally[j] for j in range(min(r, s) + 1)}
+
+
+def _field_width(p: int) -> int:
+    """Bits per packed entry: w = (2p - 2).bit_length() for the entry, one more for its guard."""
+    return (2 * p - 2).bit_length() + 1
+
+
+def _pack(p: int, digits) -> int:
+    width = _field_width(p)
+    return sum(d << width * i for i, d in enumerate(reversed(digits)))
+
+
+def _unpack(p: int, s: int, row: int) -> tuple:
+    width = _field_width(p)
+    return tuple(row >> width * i & (1 << width) - 1 for i in reversed(range(s)))
+
+
+def _masks(p: int, s: int) -> tuple:
+    """The ``bias``, ``guards`` and w of a packed row of F_p^s, built field by field."""
+    w = _field_width(p) - 1
+    return (_pack(p, [2 ** w - p] * s), _pack(p, [2 ** w] * s), w)
+
+
 def _clear_census_caches():
-    for cache in (oracle._row_count, oracle._classes_outside, oracle._completions):
+    for cache in (oracle._rows, oracle._row_count, oracle._classes_outside,
+                  oracle._completions):
         cache.cache_clear()
+    oracle._SPANS.clear()
 
 
 class TestPrimeField:
@@ -207,6 +270,13 @@ class TestCensus:
         assert census.counts == {j: reference[j] for j in census.counts}
         assert sum(reference.values()) == census.total() == p ** (r * s)
 
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 3)])
+    def test_matches_tuple_reference(self, p, n):
+        # every shape up to n x n, against the census on tuple vectors that the
+        # packed rows replaced
+        for r, s in itertools.product(range(n + 1), repeat=2):
+            assert rank_census(p, r, s).counts == _reference_census(p, r, s), (r, s)
+
     def test_warm_memos_match_cold(self):
         _clear_census_caches()
         rank_census(2, 4, 4)
@@ -230,6 +300,75 @@ class TestCensus:
         for shape in shapes:
             _clear_census_caches()
             assert warm[shape] == rank_census(*shape), shape
+
+
+class TestPackedRows:
+    @given(st.data())
+    def test_sum_is_entrywise_mod_p(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        s = data.draw(st.integers(0, 8))
+        digits = st.tuples(*[st.integers(0, p - 1)] * s)
+        a, b = data.draw(digits), data.draw(digits)
+        total = tuple((x + y) % p for x, y in zip(a, b))
+        packed = oracle._translate(p, {_pack(p, a)}, _pack(p, b), *_masks(p, s))
+        assert packed == {_pack(p, total)}
+        assert _unpack(p, s, packed.pop()) == total
+
+    @pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 5, 7) for s in range(9)
+                                     if p ** s <= 2 ** 13])
+    def test_rows(self, p, s):
+        rows, bias, guards, w = oracle._rows(p, s)
+        assert (bias, guards, w) == _masks(p, s)
+        assert len(set(rows)) == p ** s and 0 in rows
+        assert not any(row & guards for row in rows)
+        assert rows == tuple(_pack(p, row) for row in itertools.product(range(p), repeat=s))
+
+    def test_a_wrong_bias_fails_the_census(self, monkeypatch):
+        # 2^w - p + 1 in the lowest field alone: an entry p - 1 there reads as >= p
+        names = [name for name, _, _ in verify_classes(3, 3).checks]
+        rows = oracle._rows
+
+        def off_by_one(p, s):
+            packed, bias, guards, w = rows(p, s)
+            return packed, bias + 1, guards, w
+
+        _clear_census_caches()
+        monkeypatch.setattr(oracle, "_rows", lru_cache(maxsize=None)(off_by_one))
+        try:
+            shapes = list(itertools.product(range(4), repeat=2))
+            wrong = {shape: rank_census(3, *shape).counts for shape in shapes}
+            report = verify_classes(3, 3)
+        finally:
+            monkeypatch.undo()
+            _clear_census_caches()
+        assert any(wrong[shape] != _reference_census(3, *shape) for shape in shapes)
+        assert not report.passed
+        assert [name for name, _, _ in report.checks] == names
+
+    def test_census_memory(self):
+        # 2^26 matrices, within the default budget; a table of all sums of two rows
+        # would have 2^26 entries
+        _clear_census_caches()
+        tracemalloc.start()
+        try:
+            census = rank_census(2, 2, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _clear_census_caches()
+        assert census.total() == 2 ** 26
+        assert peak < 6 * 10 ** 6
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_object_per_subspace(self, p):
+        # the p + 1 lines of F_p^2 each grow into the whole plane
+        _clear_census_caches()
+        assert not oracle._SPANS and not oracle._rows.cache_info().currsize
+        lines = [span for span, _ in oracle._classes_outside(p, 2, frozenset({0}))]
+        planes = [oracle._classes_outside(p, 2, line)[0][0] for line in lines]
+        assert len(set(lines)) == p + 1
+        assert planes[0] == set(oracle._rows(p, 2)[0])
+        assert all(plane is planes[0] for plane in planes)
 
 
 def subspaces(p: int, d: int, n: int) -> Fraction:
