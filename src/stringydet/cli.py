@@ -153,7 +153,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             record = report.compute_record(args.r, args.k, args.variety)
             if args.format == "json":
-                print(report._json(record, sort_keys=True))
+                print(report._json(record))
             else:
                 print(report._record_text(record))
             return EXIT_OK if all(ok for _, ok, _ in record["checks"]) else EXIT_FAIL

@@ -1,8 +1,9 @@
 """Grothendieck-ring classes of the building-block varieties.
 
 Everything is a polynomial (or Laurent polynomial) in ``q``, the class of
-the affine line: general linear groups, Grassmannians, tuples of
-independent vectors, and the rank stratification of matrix space.
+the affine line: general linear groups, Grassmannians, and the rank
+stratification of matrix space, whose rank-d d x k stratum is the d-tuples of
+independent vectors in k-space.
 
 The errors that end a command live here too, where every layer can raise them
 and ``cli`` can catch them without loading the layer that raises.
@@ -87,20 +88,13 @@ def gauss_binomial(d: int, k: int) -> LaurentPoly:
     return factor_ratio(ONE, range(k - e + 1, k + 1), range(1, e + 1))
 
 
-@lru_cache(maxsize=None)
-def class_independent_tuples(d: int, k: int) -> LaurentPoly:
-    """Class of d-tuples of linearly independent vectors in k-space: the rank-d d x k matrices."""
-    if d < 0 or k < 0 or d > k:
-        raise InvalidInput(f"need 0 <= d <= k, got d={d}, k={k}")
-    return rank_stratum_class(d, k, d)
-
-
 def rank_stratum_class(r: int, s: int, j: int, base: LaurentPoly = ONE,
                        times=()) -> LaurentPoly:
     """``base`` times q^a - 1 for a in ``times`` and the class of the r x s matrices of rank
     exactly j, [G(j, r)][U(j, s)] = q^{j(j-1)/2} prod_{s-j < i <= s} (q^i - 1) [G(j, r)],
     with e = min(j, r - j) divisions for [G(j, r)]. For r = s = b it is [GL_j][G(j, b)]^2,
-    the class of a chain step b - j -> b."""
+    the class of a chain step b - j -> b; for r = j it is the j-tuples of independent
+    vectors in s-space."""
     if not 0 <= j <= min(r, s):
         raise InvalidInput(f"need 0 <= j <= min(r, s), got j={j}")
     e = min(j, r - j)

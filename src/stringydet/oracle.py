@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .groth import (BudgetExceeded, InvalidInput, UnsupportedPrime, class_gl,
-                    class_independent_tuples, gauss_binomial, rank_stratum_class)
+from .groth import (BudgetExceeded, InvalidInput, UnsupportedPrime, class_gl, gauss_binomial,
+                    rank_stratum_class)
 
 DEFAULT_BUDGET = 2 * 10 ** 8
 PRIME_CAP = 7
@@ -28,18 +28,11 @@ class RankCensus(namedtuple("RankCensus", "counts")):
 
     __slots__ = ()
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 class InvariantReport(namedtuple("InvariantReport", "checks")):
     """The (name, ok, details) verdicts of a verification run, read-only."""
 
     __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
 
 
 def check_prime(p: int) -> None:
@@ -156,11 +149,13 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
 
     Checks, for all feasible sizes up to r_max: GL classes against full-rank
     counts, Gaussian binomials against subspace counts (ordered bases over base
-    changes, both read from the census), rank-stratum classes
-    against the census, cumulative rank-bounded counts, and the total-space
-    rank identity. Every comparison is recorded, disagreements included;
-    the budget is checked against all censuses before any is enumerated.
-    Each census is read once and each stratum class evaluated once.
+    changes, both read from the census), independent d-tuples in k-space (the
+    rank-d d x k stratum) and every rank-stratum class against the census,
+    cumulative rank-bounded counts, and the total-space rank identity. Every
+    comparison is recorded, disagreements included, a census that leaves a
+    fraction or reads 0/0 among them; the budget is checked against all censuses
+    before any is enumerated. Each census is read once and each stratum class
+    evaluated once.
     """
     check_budget(census_candidates(p, r_max, budget), budget)
     sizes = range(1, r_max + 1)
@@ -179,13 +174,12 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     for k in sizes:
         for d in range(0, k + 1):
             # ordered bases over base changes in lowest terms; a wrong census may
-            # leave a fraction, written n/m, which no class value equals
+            # leave a fraction, written n/m, or read 0/0, which no class value equals
             bases, changes = (counts[d, k][d], counts[d, d][d]) if d else (1, 1)
-            g = gcd(bases, changes)
+            g = gcd(bases, changes) or 1
             check(f"grassmannian({d},{k})", gauss_binomial(d, k).evaluate(p),
                   bases // g if g == changes else f"{bases // g}/{changes // g}")
-            check(f"independent_tuples({d},{k})", class_independent_tuples(d, k).evaluate(p),
-                  counts[d, k][d] if d else 1)
+            check(f"independent_tuples({d},{k})", strata[d, k][d] if d else 1, bases)
     for (r, s), census in counts.items():
         for j, value in enumerate(strata[r, s]):
             check(f"rank_stratum({r},{s},{j})", value, census[j])

@@ -195,17 +195,16 @@ def _render_table(rows, fmt: str):
     yield tail
 
 
-def _json(value, sort_keys: bool = False, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=sort_keys)`` for dicts, lists, ints, bools and
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts, lists, ints, bools and
     strings that need no escaping; ``indent`` starts each line of the value's own level."""
     if not isinstance(value, (dict, list)):  # a str, an int, or a bool: True is true
         return f'"{value}"' if isinstance(value, str) else str(value).lower()
     inner = indent + "  "
     if isinstance(value, dict):
-        items = sorted(value.items()) if sort_keys else value.items()
-        body, ends = [f'"{key}": {_json(v, sort_keys, inner)}' for key, v in items], "{}"
+        body, ends = [f'"{key}": {_json(v, inner)}' for key, v in sorted(value.items())], "{}"
     else:
-        body, ends = [_json(v, sort_keys, inner) for v in value], "[]"
+        body, ends = [_json(v, inner) for v in value], "[]"
     return ends[0] + inner + ("," + inner).join(body) + indent + ends[1] if body else ends
 
 
@@ -213,6 +212,6 @@ def _render_zeta(r: int, order: int, series):
     """``zeta``'s ``json.dumps(..., indent=2)`` in chunks: head with T^0, each T^n, tail."""
     head, inner = f'{{\n  "r": {r},\n  "order": {order},\n  "coefficients": {{', "\n    "
     for n, c in enumerate(series):
-        yield f'{head}{inner}"{n}": {_json(_poly_pairs(c), indent=inner)}'
+        yield f'{head}{inner}"{n}": {_json(_poly_pairs(c), inner)}'
         head = ","
     yield "\n  }\n}\n"

@@ -538,7 +538,6 @@ class TestCommandErrors:
     @pytest.mark.parametrize("function,args,message", [
         (groth.class_gl, (-1,), "d must be nonnegative"),
         (groth.gauss_binomial, (3, 2), "need 0 <= d <= k, got d=3, k=2"),
-        (groth.class_independent_tuples, (3, 2), "need 0 <= d <= k, got d=3, k=2"),
         (groth.rank_stratum_class, (2, 3, 3), "need 0 <= j <= min(r, s), got j=3"),
         (groth.rank_identity_check, (2, 3), "need 1 <= k <= r, got r=2, k=3"),
         (oracle.rank_census, (2, -1, 3), "need r >= 0 and s >= 0, got r=-1, s=3"),
@@ -547,7 +546,7 @@ class TestCommandErrors:
          "non-integer coefficient 1/2 at q^0"),
         (groth.factor_ratio, (q_pow(1) - 1, (), [-1]), "exponents must be positive, got -1"),
         (groth.factor_ratio, (ONE, [-1]), "exponents must be positive, got -1"),
-    ], ids=["gl", "gauss_binomial", "independent_tuples", "rank_stratum", "rank_identity",
+    ], ids=["gl", "gauss_binomial", "rank_stratum", "rank_identity",
             "rank_census", "hodge_laurent", "hodge_fraction", "factor_quotient",
             "factor_product"])
     def test_bad_parameters_are_invalid_input(self, function, args, message):

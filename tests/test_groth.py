@@ -16,7 +16,6 @@ from stringydet.exactalg import (DivisionByZero, NotPolynomial, ONE, ZERO, Laure
 from stringydet.groth import (
     InvalidInput,
     class_gl,
-    class_independent_tuples,
     factor_ratio,
     gauss_binomial,
     partition_tails,
@@ -193,7 +192,7 @@ class TestGeneralLinear:
 
     def test_matches_independent_tuples(self):
         for d in range(9):
-            assert class_gl(d) == class_independent_tuples(d, d)
+            assert class_gl(d) == rank_stratum_class(d, d, d)
 
 
 class TestGaussBinomial:
@@ -241,19 +240,20 @@ class TestGaussBinomial:
 
 
 class TestIndependentTuples:
+    # the d-tuples of independent vectors in k-space: the rank-d d x k stratum
     def test_nonzero_vectors(self):
         for k in range(1, 6):
-            assert class_independent_tuples(1, k) == q_pow(k) - 1
+            assert rank_stratum_class(1, k, 1) == q_pow(k) - 1
 
     def test_full_square_is_gl(self):
-        assert class_independent_tuples(2, 2) == (q_pow(2) - Q) * (q_pow(2) - 1)
-        assert class_independent_tuples(2, 2) == class_gl(2)
+        assert rank_stratum_class(2, 2, 2) == (q_pow(2) - Q) * (q_pow(2) - 1)
+        assert rank_stratum_class(2, 2, 2) == class_gl(2)
 
     def test_pairs_in_3_space(self):
-        assert class_independent_tuples(2, 3).evaluate(2) == (8 - 1) * (8 - 2) == 42
+        assert rank_stratum_class(2, 3, 2).evaluate(2) == (8 - 1) * (8 - 2) == 42
 
     def test_empty_tuple(self):
-        assert class_independent_tuples(0, 5) == ONE
+        assert rank_stratum_class(0, 5, 0) == ONE
 
 
 class TestFlagQuotient:
@@ -407,7 +407,7 @@ class TestStratumBuilder:
         for k in range(13):
             for d in range(k + 1):
                 want = independent_tuples_by_shifts(d, k)
-                assert class_independent_tuples(d, k) == rank_stratum_class(d, k, d) == want
+                assert rank_stratum_class(d, k, d) == want, (d, k)
 
     @given(laurent_polys, st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
            st.lists(st.integers(1, 12), max_size=3))
@@ -432,8 +432,7 @@ def mutant_builder(monkeypatch):
     cache that holds a value built from it cleared before and after."""
     from stringydet import groth, stringy
 
-    caches = (groth.class_independent_tuples, stringy.grassmannian_subset_sum,
-              stringy.grassmannian_recursive)
+    caches = (stringy.grassmannian_subset_sum, stringy.grassmannian_recursive)
 
     def install(mutation):
         old, new = mutation
@@ -562,3 +561,52 @@ def test_only_groth_uses_its_private_names():
                for path in sorted(package.glob("*.py")) if path.name != "groth.py"}
     assert "stringy.py" in reached
     assert {name: names for name, names in reached.items() if names} == {}
+
+
+def unused_public_names(defining: dict, referring: list) -> list:
+    """The public functions and classes, as ``module.name``, and the public methods, as
+    ``module.Class.name``, of the ``defining`` sources (module name -> source) that no
+    source in ``referring`` reaches: a function or class by a name, an import or an
+    attribute, a method by an attribute. A string of dotted identifiers reaches its last
+    part, as a name looked up by name: ``report.VARIETIES`` and ``tracer.METHODS``."""
+    names, attrs = set(), set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and all(
+                    part.isidentifier() for part in node.value.split(".")):
+                attrs.add(node.value.split(".")[-1])
+    unused = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and node.name not in names | attrs):
+                unused.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{module}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_") and item.name not in attrs]
+    return unused
+
+
+def test_every_public_name_is_used_by_the_program_or_the_benchmark():
+    defining = {"m": "def f(): pass\ndef _g(): pass\nclass C:\n"
+                     "    def run(self): pass\n    def __len__(self): return 0\n"}
+    assert unused_public_names(defining, []) == ["m.f", "m.C", "m.C.run"]
+    assert unused_public_names(defining, ["from m import f\nx = C\ny.run()"]) == []
+    assert unused_public_names(defining, ["run(f, C)"]) == ["m.C.run"]  # a method: attributes
+    assert unused_public_names(defining, ['T = {"m.f": {"C": "run"}}']) == []
+    assert unused_public_names(defining, ['"f is C.run, see"']) == ["m.f", "m.C", "m.C.run"]
+    package = pathlib.Path(oracle.__file__).parent
+    paths = [*sorted(package.glob("*.py")), *sorted((package.parents[1] / "bench").glob("*.py"))]
+    sources = {path: path.read_text() for path in paths}
+    # rational.py goes with the rational layer, so its own names are not asked after
+    defining = {path.stem: source for path, source in sources.items()
+                if path.parent == package and path.name != "rational.py"}
+    assert "tracer" in {path.stem for path in sources} and "cli" in defining
+    assert unused_public_names(defining, list(sources.values())) == []

@@ -62,9 +62,9 @@ VALUES = st.recursive(
     max_leaves=20)
 
 
-@given(VALUES, st.booleans())
-def test_json_is_json_dumps(value, sort_keys):
-    assert report._json(value, sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
+@given(VALUES)
+def test_json_is_json_dumps(value):
+    assert report._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # -- one coefficient at a time ----------------------------------------------------

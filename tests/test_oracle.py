@@ -22,6 +22,11 @@ from stringydet.oracle import (
 )
 
 
+def failures(report) -> list:
+    """The names of the failing checks of a report, in order."""
+    return [name for name, ok, _ in report.checks if not ok]
+
+
 def rank_of_matrix(p: int, entries) -> int:
     """Rank over F_p by Gaussian elimination on a copy of the rows."""
     rows = [[x % p for x in row] for row in entries]
@@ -200,7 +205,7 @@ class TestCensus:
 
     def test_3x3_mod_2(self):
         census = rank_census(2, 3, 3)
-        assert census.total() == 512
+        assert sum(census.counts.values()) == 512
         assert census.counts[3] == 168 == class_gl(3).evaluate(2)
 
     def test_rank_zero_always_one(self):
@@ -209,7 +214,7 @@ class TestCensus:
 
     def test_totals(self):
         for p, r, s in ((2, 2, 3), (3, 2, 2)):
-            assert rank_census(p, r, s).total() == p ** (r * s)
+            assert sum(rank_census(p, r, s).counts.values()) == p ** (r * s)
 
     def test_transpose_symmetry(self):
         # r x s and s x r walk different span lattices, so their agreement
@@ -244,7 +249,7 @@ class TestCensus:
         with pytest.raises(TypeError):
             rank_census(2, 2, 2).counts[2] = 999
         assert rank_census(2, 2, 2).counts == {0: 1, 1: 9, 2: 6}
-        assert verify_classes(2, 2).passed
+        assert failures(verify_classes(2, 2)) == []
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_elimination(self, p):
@@ -268,7 +273,7 @@ class TestCensus:
         census = rank_census(p, r, s)
         reference = _tally_ranks(p, r, s)
         assert census.counts == {j: reference[j] for j in census.counts}
-        assert sum(reference.values()) == census.total() == p ** (r * s)
+        assert sum(reference.values()) == sum(census.counts.values()) == p ** (r * s)
 
     @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 3)])
     def test_matches_tuple_reference(self, p, n):
@@ -342,7 +347,7 @@ class TestPackedRows:
             monkeypatch.undo()
             _clear_census_caches()
         assert any(wrong[shape] != _reference_census(3, *shape) for shape in shapes)
-        assert not report.passed
+        assert failures(report)
         assert [name for name, _, _ in report.checks] == names
 
     def test_census_memory(self):
@@ -356,7 +361,7 @@ class TestPackedRows:
         finally:
             tracemalloc.stop()
             _clear_census_caches()
-        assert census.total() == 2 ** 26
+        assert sum(census.counts.values()) == 2 ** 26
         assert peak < 6 * 10 ** 6
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -399,17 +404,49 @@ class TestSubspaces:
 
         monkeypatch.setattr(oracle, "rank_census", wrong)
         report = verify_classes(2, 4)
-        assert not report.passed
+        assert failures(report)
         details = {name: (ok, text) for name, ok, text in report.checks}
         assert details["grassmannian(2,4) at q=2"] == (False, "class value 35 != count 105/2")
         assert details["grassmannian(1,4) at q=2"] == (True, "15")
+
+    @pytest.fixture
+    def zero_census(self, monkeypatch):
+        """A census of the 1 x 1 matrices over F_2 that finds no invertible one: the lines
+        of F_2^1 are then 0 ordered bases over 0 base changes."""
+        census = oracle.rank_census
+        names = [name for name, _, _ in verify_classes(2, 2).checks]
+
+        def wrong(p, r, s, budget):
+            if (p, r, s) == (2, 1, 1):
+                return oracle.RankCensus({0: 2, 1: 0})
+            return census(p, r, s, budget)
+
+        monkeypatch.setattr(oracle, "rank_census", wrong)
+        return names
+
+    def test_zero_census_fails_the_grassmannian_check(self, zero_census):
+        report = verify_classes(2, 2)
+        assert [name for name, _, _ in report.checks] == zero_census
+        details = {name: (ok, text) for name, ok, text in report.checks}
+        assert details["grassmannian(1,1) at q=2"] == (False, "class value 1 != count 0/0")
+        assert details["grassmannian(1,2) at q=2"] == (False, "class value 3 != count 1/0")
+
+    def test_zero_census_makes_the_oracle_command_exit_1(self, zero_census, capsys):
+        from stringydet.cli import EXIT_FAIL, main
+
+        assert main(["oracle", "--p", "2", "--rmax", "2"]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert [line.split("  ")[1] for line in lines[1:]] == zero_census
+        assert "FAIL  grassmannian(1,1) at q=2  (class value 1 != count 0/0)" in lines
 
 
 class TestVerifyClasses:
     @pytest.mark.parametrize("p,r_max", [(2, 3), (3, 3), (2, 4), (5, 3), (2, 5), (3, 4), (7, 3)])
     def test_all_pass(self, p, r_max):
         report = verify_classes(p, r_max)
-        assert report.passed
+        assert failures(report) == []
         assert report.checks
 
     def test_every_disagreement_is_recorded(self, monkeypatch):
@@ -417,7 +454,7 @@ class TestVerifyClasses:
         monkeypatch.setattr(oracle, "class_gl",
                             lambda d: groth.class_gl(d) + ONE)
         report = verify_classes(2, 3)
-        assert not report.passed
+        assert failures(report)
         assert [name for name, _, _ in report.checks] == names
         failed = [(name, details) for name, ok, details in report.checks if not ok]
         assert [name for name, _ in failed] == [f"gl({d}) at q=2" for d in (1, 2, 3)]
@@ -431,7 +468,7 @@ class TestVerifyClasses:
             return groth.rank_stratum_class(r, s, j)
 
         monkeypatch.setattr(oracle, "rank_stratum_class", counted)
-        assert verify_classes(2, 3).passed
+        assert failures(verify_classes(2, 3)) == []
         assert sum(built.values()) == len(built) == 23
         assert set(built) == {(r, s, j) for r in range(1, 4) for s in range(1, 4)
                               for j in range(min(r, s) + 1)}
@@ -459,7 +496,7 @@ class TestVerifyClasses:
         assert max(2 ** (r * s) for r in range(1, 4) for s in range(r, 4)) < total - 1
         with pytest.raises(BudgetExceeded, match=str(total)):
             verify_classes(2, 3, budget=total - 1)
-        assert verify_classes(2, 3, budget=total).passed
+        assert failures(verify_classes(2, 3, budget=total)) == []
 
     def test_huge_run_is_refused_before_any_sum(self):
         # summing p^(rs) over 1 <= r <= s <= 3000 would take minutes
@@ -475,11 +512,11 @@ class TestVerifyClasses:
         # a degree-D univariate identity checked at D+1 points is exact:
         # certify the rank identity symbolically from point counts
         from stringydet.exactalg import q_pow
-        from stringydet.groth import class_independent_tuples
+        from stringydet.groth import rank_stratum_class
         r, k = 3, 2
         rhs = ONE
         for m in range(r - k, r):
-            rhs = rhs + gauss_binomial(m, r) * class_independent_tuples(r - m, k)
+            rhs = rhs + gauss_binomial(m, r) * rank_stratum_class(r - m, k, r - m)
         degree = max(q_pow(k * r).degree(), rhs.degree())
         points = range(2, 2 + degree + 2)
         assert all(rhs.evaluate(x) == x ** (k * r) for x in points)

@@ -70,11 +70,8 @@ class TestFrozenRecords:
         assert data.discrepancies == (3,)
 
     def test_methods_and_repr(self):
-        assert RankCensus(MappingProxyType({0: 1, 1: 1})).total() == 2
         assert HodgeTable({0: 1, 1: -1}).non_negative is False
         assert repr(HodgeTable({0: 1})) == "HodgeTable(diag={0: 1})"
-        assert InvariantReport([]).passed and InvariantReport([("x", True, "")]).passed
-        assert not InvariantReport([("x", True, ""), ("y", False, "")]).passed
 
     @pytest.mark.parametrize("build,error,message", [
         (lambda: orbit_measure(3, 2, (1,)), InvalidInput, "expected 2 entries, got 1"),
