@@ -1,8 +1,8 @@
 """Command-line front end: compute invariants, verify identities, emit tables.
 
-Exit statuses: 0 success, 1 verification failure or a closed stdout, 2 usage error
-(a malformed command line, a bad argument, or a grid that holds no check), 3
-enumeration budget exceeded. ``-h`` or ``--help`` prints the usage of ``COMMANDS``.
+Exit statuses: 0 success, 1 verification failure, a failed exact division or a closed
+stdout, 2 usage error (a malformed command line, a bad argument, or a grid that holds no
+check), 3 enumeration budget exceeded. ``-h`` or ``--help`` prints the usage of ``COMMANDS``.
 
 A command loads only the layers it runs: ``report`` and ``stringy`` for the
 routes and ``oracle`` for the counts over F_p. No command loads ``json``:
@@ -14,7 +14,7 @@ layer raised it. A disagreement never ends a command: it is a failing check.
 import sys
 from types import SimpleNamespace
 
-from .groth import BudgetExceeded, InvalidInput
+from .groth import BudgetExceeded, InvalidInput, NotPolynomial
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -202,6 +202,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NotPolynomial as exc:
+        print(f"error: not a polynomial: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except BrokenPipeError:  # stdout's reader left; the exit's flush goes to devnull
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import sub
 
 from .exactalg import (DivisionByZero, LaurentPoly, NotPolynomial, ONE, ZERO, _dense,
-                       _from_dense, q_pow)
+                       _from_dense)
 
 
 class InvalidInput(ValueError):
@@ -100,10 +100,3 @@ def rank_stratum_class(r: int, s: int, j: int, base: LaurentPoly = ONE,
     e = min(j, r - j)
     return factor_ratio(base, [*times, *range(s - j + 1, s + 1), *range(r - e + 1, r + 1)],
                         range(1, e + 1)).shift(j * (j - 1) // 2)
-
-
-def rank_identity_check(r: int, k: int) -> bool:
-    """q^{kr} = sum_{j=0}^{k} [r x k matrices of rank j], exactly."""
-    if not 1 <= k <= r:
-        raise InvalidInput(f"need 1 <= k <= r, got r={r}, k={k}")
-    return sum(rank_stratum_class(r, k, j) for j in range(k + 1)) == q_pow(k * r)

@@ -4,7 +4,7 @@ their modules, so a wrapped or patched function is the one that runs."""
 from math import comb
 
 from . import groth, stringy
-from .exactalg import LaurentPoly, NotPolynomial
+from .exactalg import LaurentPoly, NotPolynomial, q_pow
 
 # The closed form and the orbit route of each variety, by name in ``stringy``:
 # looked up at call time, so a wrapped or patched route is the one that runs.
@@ -36,17 +36,21 @@ def _render_uv(pairs: list) -> str:
     return " + ".join(parts) or "0"
 
 
-def _compare(name: str, route, reference: LaurentPoly, details: str = "") -> tuple:
-    """A check that ``route()`` agrees with the reference; a failure names the lowest
-    differing coefficient, or the exact division that failed on the route."""
+def _compare(name: str, route, reference, details: str = "") -> tuple:
+    """The one comparison of every polynomial check: ``route()`` against a polynomial or a
+    series in T, a tuple of them; a failure names its first differing coefficient or division."""
     try:
         value = route()
     except NotPolynomial as exc:
         return name, False, f"not a polynomial: {exc}"
     if value == reference:
         return name, True, details
+    at = ""
+    if isinstance(reference, tuple):
+        n = [a == b for a, b in zip(value, reference)].index(False)
+        at, value, reference = f"T^{n} ", value[n], reference[n]
     e = (value - reference).order()
-    return name, False, (f"first difference at q^{e}: route {value.terms.get(e, 0)}, "
+    return name, False, (f"first difference at {at}q^{e}: route {value.terms.get(e, 0)}, "
                          f"reference {reference.terms.get(e, 0)}")
 
 
@@ -99,7 +103,8 @@ def suite_identities(rmax: int) -> list:
                                    lambda: stringy.grassmannian_subset_sum(r, k), g))
             checks.append(_compare(f"recursion_is_grassmannian({r},{k})",
                                    lambda: stringy.grassmannian_recursive(r, k), g))
-            checks.append((f"rank_identity({r},{k})", groth.rank_identity_check(r, k), ""))
+            checks.append(_compare(f"rank_identity({r},{k})", lambda: sum(
+                groth.rank_stratum_class(r, k, j) for j in range(k + 1)), q_pow(k * r)))
             euler_a, euler_p = (stringy.stringy_euler(closed[v, k]) for v in VARIETIES)
             checks.append((f"euler_affine({r},{k})", euler_a == comb(r, k), ""))
             checks.append((f"euler_projective({r},{k})", euler_p == k * r * comb(r, k), ""))
@@ -113,6 +118,9 @@ def suite_identities(rmax: int) -> list:
 
 
 def suite_orbits(rmax: int) -> list:
+    def above(p: LaurentPoly, bound: int) -> LaurentPoly:  # where a truncated sum is stable
+        return LaurentPoly({e: c for e, c in p.terms.items() if e > bound})
+
     checks = []
     pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
     for r, k in pairs:
@@ -123,20 +131,19 @@ def suite_orbits(rmax: int) -> list:
             if variety == "projective":
                 # the truncated projective sum leaves the 1/(q - 1) factor out
                 closed = groth.factor_ratio(closed, [1])
-            partial = stringy.truncated_orbit_sum(r, k, cap, variety)
-            stable = {e: c for e, c in partial.terms.items() if e > bound}
-            expect = {e: c for e, c in closed.terms.items() if e > bound}
-            checks.append((f"orbit_convergence_{variety}({r},{k},cap={cap})",
-                           stable == expect, f"stable above exponent {bound}"))
+            checks.append(_compare(
+                f"orbit_convergence_{variety}({r},{k},cap={cap})",
+                lambda: above(stringy.truncated_orbit_sum(r, k, cap, variety), bound),
+                above(closed, bound), f"stable above exponent {bound}"))
     return checks
 
 
 def suite_zeta(rmax: int, order: int) -> list:
     checks = []
     for r in range(1, rmax + 1):
-        series = stringy.zeta_closed_expansion(r, order)
-        ok = all(c == stringy.zeta_coefficient_direct(r, n) for n, c in enumerate(series))
-        checks.append((f"zeta_consistency(r={r},order={order})", ok, ""))
+        direct = tuple(stringy.zeta_coefficient_direct(r, n) for n in range(order + 1))
+        checks.append(_compare(f"zeta_consistency(r={r},order={order})",
+                               lambda: stringy.zeta_closed_expansion(r, order), direct))
     return checks
 
 

@@ -285,6 +285,26 @@ class TestVerify:
         assert len(lines) > len(failed)
         assert all(line.startswith("pass") for line in lines if line not in failed)
 
+    def test_wrong_orbit_measure_names_its_first_difference(self, monkeypatch, capsys):
+        measure = stringy.orbit_measure
+        monkeypatch.setattr(stringy, "orbit_measure",  # times q on every tail of size 2
+                            lambda r, k, tail: measure(r, k, tail).shift(sum(tail) == 2))
+        code, out, _ = run(["verify", "--suite", "orbits", "--rmax", "3"], capsys)
+        assert code == EXIT_FAIL
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL  orbit_convergence_{variety}(3,2,cap=4)  "
+            "(first difference at q^-1: route 3, reference 0)" for variety in report.VARIETIES]
+
+    def test_wrong_zeta_series_names_its_first_difference(self, monkeypatch, capsys):
+        expansion = stringy.zeta_closed_expansion
+        monkeypatch.setattr(stringy, "zeta_closed_expansion", lambda r, order: tuple(
+            c + q_pow(-4) * (n == 3) for n, c in enumerate(expansion(r, order))))
+        code, out, _ = run(["verify", "--suite", "zeta", "--rmax", "2"], capsys)
+        assert code == EXIT_FAIL
+        assert out.splitlines() == [
+            f"FAIL  zeta_consistency(r={r},order=4)  "
+            "(first difference at T^3 q^-4: route 1, reference 0)" for r in (1, 2)]
+
     def test_orbit_routes_share_one_chain_sum(self, monkeypatch, capsys):
         calls = []
         chain_sum = stringy._orbit_chain_sum
@@ -498,12 +518,12 @@ class TestCommandErrors:
     def test_main_names_the_classes(self):
         assert not hasattr(cli, "_oracle_error")
         assert "sys.modules" not in inspect.getsource(cli)
-        # the command's try has one clause per ending: usage error, budget and a
-        # standard output closed by its reader
+        # the command's try has one clause per ending: usage error, budget, an exact
+        # division that failed outside any check and a standard output closed by its reader
         tries = [node for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
                  if isinstance(node, ast.Try)]
         assert [[ast.unparse(h.type) for h in node.handlers] for node in tries] == [
-            ["InvalidInput", "BudgetExceeded", "BrokenPipeError"]]
+            ["InvalidInput", "BudgetExceeded", "NotPolynomial", "BrokenPipeError"]]
 
     def test_cli_reaches_no_private_oracle_name(self):
         names = {node.attr for node in ast.walk(ast.parse(inspect.getsource(cli)))
@@ -539,16 +559,14 @@ class TestCommandErrors:
         (groth.class_gl, (-1,), "d must be nonnegative"),
         (groth.gauss_binomial, (3, 2), "need 0 <= d <= k, got d=3, k=2"),
         (groth.rank_stratum_class, (2, 3, 3), "need 0 <= j <= min(r, s), got j=3"),
-        (groth.rank_identity_check, (2, 3), "need 1 <= k <= r, got r=2, k=3"),
         (oracle.rank_census, (2, -1, 3), "need r >= 0 and s >= 0, got r=-1, s=3"),
         (stringy.hodge_table, (q_pow(-1),), "stringy Hodge numbers need a polynomial"),
         (stringy.hodge_table, (LaurentPoly({0: Fraction(1, 2)}),),
          "non-integer coefficient 1/2 at q^0"),
         (groth.factor_ratio, (q_pow(1) - 1, (), [-1]), "exponents must be positive, got -1"),
         (groth.factor_ratio, (ONE, [-1]), "exponents must be positive, got -1"),
-    ], ids=["gl", "gauss_binomial", "rank_stratum", "rank_identity",
-            "rank_census", "hodge_laurent", "hodge_fraction", "factor_quotient",
-            "factor_product"])
+    ], ids=["gl", "gauss_binomial", "rank_stratum", "rank_census", "hodge_laurent",
+            "hodge_fraction", "factor_quotient", "factor_product"])
     def test_bad_parameters_are_invalid_input(self, function, args, message):
         with pytest.raises(groth.InvalidInput) as raised:
             function(*args)

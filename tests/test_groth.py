@@ -19,10 +19,9 @@ from stringydet.groth import (
     factor_ratio,
     gauss_binomial,
     partition_tails,
-    rank_identity_check,
     rank_stratum_class,
 )
-from stringydet import oracle
+from stringydet import groth, oracle
 from stringydet.stringy import orbit_measure
 
 Q = q_pow(1)
@@ -31,6 +30,12 @@ Q = q_pow(1)
 def full_rank(p: int, r: int, s: int) -> int:
     """Full-rank r x s matrices over F_p, r <= s, as the oracle's census counts them."""
     return oracle.rank_census(p, r, s).counts[r]
+
+
+def rank_strata_sum(r: int, k: int) -> LaurentPoly:
+    """The classes of the r x k matrices of each rank, summed: q^{kr} by the rank identity.
+    The strata are read through ``groth``, so an installed mutant is the one summed."""
+    return sum(groth.rank_stratum_class(r, k, j) for j in range(k + 1))
 
 
 def gauss_binomial_partition_sum(d: int, k: int) -> LaurentPoly:
@@ -421,9 +426,11 @@ class TestStratumBuilder:
 
 
 # A wrong factor of the stratum builder, as (its text, the mutant's): a wrong power of q
-# keeps every route's division exact, a wrong q^a - 1 does not.
+# keeps every route's division exact, a wrong q^a - 1 does not, and a wrong divisor, one
+# more q^2 - 1, fails the builder's own division.
 WRONG_POWER = ("j * (j - 1) // 2", "j * (j + 1) // 2")
 WRONG_FACTOR = ("range(s - j + 1, s + 1)", "range(s - j + 2, s + 1)")
+WRONG_DIVISOR = ("range(1, e + 1)", "(*range(1, e + 1), 2)")
 
 
 @pytest.fixture
@@ -465,6 +472,8 @@ class TestStratumBuilderMutation:
         for prefix in ("subset_sum_is_grassmannian(", "recursion_is_grassmannian(",
                        "rank_identity("):
             assert failing(checks, prefix), prefix
+        details = {name: detail for name, _, detail in checks}
+        assert details["rank_identity(4,2)"] == "first difference at q^0: route 1, reference 0"
 
     def test_wrong_factor_fails_the_census_and_stops_the_chain_sum(self, mutant_builder):
         from stringydet import report
@@ -472,7 +481,7 @@ class TestStratumBuilderMutation:
         names = [name for name, _, _ in report.suite_identities(4)]
         mutant_builder(WRONG_FACTOR)
         assert failing(oracle.verify_classes(2, 3).checks, "rank_stratum(")
-        assert not rank_identity_check(4, 2)
+        assert rank_strata_sum(4, 2) != q_pow(8)
         # the chain sum's exact division fails: a failing check, and every other is listed
         checks = report.suite_identities(4)
         assert [name for name, _, _ in checks] == names
@@ -502,18 +511,55 @@ class TestStratumBuilderMutation:
         assert ("FAIL  recursion_is_grassmannian(3,2)  "
                 "(not a polynomial: not divisible by q^2 - 1)") in out.splitlines()
 
+    @pytest.mark.parametrize("argv", ["verify --suite identities --rmax 3",
+                                      "verify --suite zeta --rmax 2", "oracle --p 2 --rmax 2"])
+    def test_wrong_divisor_is_a_failing_check_of_each_suite(self, argv, mutant_builder, capsys):
+        from stringydet.cli import EXIT_FAIL, EXIT_OK, main
+
+        def check_names(out: str) -> list:
+            return [line.split("  ")[1] for line in out.splitlines()
+                    if line.startswith(("pass  ", "FAIL  "))]
+
+        assert main(argv.split()) == EXIT_OK
+        names = check_names(capsys.readouterr().out)
+        mutant_builder(WRONG_DIVISOR)
+        assert main(argv.split()) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert names and check_names(out) == names
+        assert "(not a polynomial: not divisible by q^2 - 1)" in out
+
+    def test_wrong_divisor_fails_the_oracle_sums_that_hold_it(
+            self, mutant_builder):
+        mutant_builder(WRONG_DIVISOR)
+        for name, ok, detail in oracle.verify_classes(2, 2).checks:
+            if name.startswith(("gl(", "grassmannian(")):
+                assert ok, name
+            elif name.startswith(("rank_bounded(", "rank_identity(")):  # j = 0 fails in each
+                assert detail == "not a polynomial: not divisible by q^2 - 1", name
+
+    def test_wrong_divisor_ends_zeta_with_exit_1_and_leaves_the_orbits(self, mutant_builder,
+                                                                       capsys):
+        from stringydet.cli import EXIT_FAIL, EXIT_OK, main
+
+        mutant_builder(WRONG_DIVISOR)
+        assert main(["zeta", "--r", "2"]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", "error: not a polynomial: not divisible by q^2 - 1\n")
+        # the orbit measures do not use the step builder
+        assert main(["verify", "--suite", "orbits", "--rmax", "3"]) == EXIT_OK
+
 
 class TestRankIdentity:
     def test_2_2_numeric(self):
-        assert rank_identity_check(2, 2)
+        assert rank_strata_sum(2, 2) == q_pow(4)
         assert 2 ** 4 == 1 + 9 + 6
 
     def test_k_equal_one_telescope(self):
         for r in range(1, 8):
-            assert rank_identity_check(r, 1)
+            assert rank_strata_sum(r, 1) == q_pow(r)
 
     def test_5_3(self):
-        assert rank_identity_check(5, 3)
+        assert rank_strata_sum(5, 3) == q_pow(15)
 
 
 def test_partition_tail_enumeration():
