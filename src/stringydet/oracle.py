@@ -195,11 +195,11 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
                   bases // g if g == changes else f"{bases // g}/{changes // g}")
             check(f"independent_tuples({d},{k})", strata[d, k][d] if d else 1, bases)
     for (r, s), census in counts.items():
-        for j, value in enumerate(strata[r, s]):
-            check(f"rank_stratum({r},{s},{j})", value, census[j])
+        for j, stratum in enumerate(strata[r, s]):
+            check(f"rank_stratum({r},{s},{j})", stratum, census[j])
         bounded = zip(itertools.accumulate(strata[r, s]), itertools.accumulate(census.values()))
-        for k, (value, count) in enumerate(bounded):
-            check(f"rank_bounded({r},{s},<= {k})", value, count)
+        for k, (cumulative, count) in enumerate(bounded):
+            check(f"rank_bounded({r},{s},<= {k})", cumulative, count)
     # r x k, not k x r: the identity sums the strata of the shape it names
     for r in sizes:
         for k in range(1, r + 1):

@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import mul
 
-from .exactalg import LaurentPoly, ONE, ZERO, _norm
+from .exactalg import LaurentPoly, ONE, ZERO
 from .groth import (InvalidInput, class_gl, factor_ratio, gauss_binomial, partition_tails,
                     rank_stratum_class)
 
@@ -78,10 +78,11 @@ def log_discrepancies(r: int, k: int):
 
 # -- chain sums ---------------------------------------------------------------
 
-def _orbit_chain_sum(r: int, k: int):
-    """Numerator and common denominator exponents of the orbit subset sum.
+@lru_cache(maxsize=None)
+def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
+    """The normalized orbit sum over index subsets; equals [G(k, r)].
 
-    The sum over subsets I of {r-k+1, ..., r-1} of
+    The sum over the 2^{k-1} subsets I of {r-k+1, ..., r-1} of
 
     prod_{i surviving} [GL_d][G(d, i)]^2 / (q^{i(i-r+k)} - 1),
 
@@ -90,8 +91,10 @@ def _orbit_chain_sum(r: int, k: int):
     common denominator prod_i (q^{i(i-r+k)} - 1) a step a -> b carries
     [GL_{b-a}][G(b-a, b)]^2, the class of the rank b-a b x b matrices, times the
     denominators of the skipped indices a < i < b, so the numerator is a path
-    sum over O(k^2) steps.
+    sum over O(k^2) steps, and exact division extracts the polynomial. Both
+    orbit routes of the stringy E-function are multiples of this one value.
     """
+    _check_rk(r, k)
     start = r - k
 
     def skipped(lo: int, hi: int) -> list:
@@ -100,25 +103,9 @@ def _orbit_chain_sum(r: int, k: int):
 
     paths = {start: ONE}
     for b in range(start + 1, r + 1):
-        total = ZERO
-        for a in range(start, b):
-            total = total + rank_stratum_class(b, b, b - a, paths[a], skipped(a, b))
-        paths[b] = total
-    return paths[r], skipped(start, r + 1)
-
-
-@lru_cache(maxsize=None)
-def grassmannian_subset_sum(r: int, k: int) -> LaurentPoly:
-    """The normalized orbit sum over index subsets; equals [G(k, r)].
-
-    Sums prod_{i} [GL_d][G(d, i)]^2 / (q^{i(i-r+k)} - 1) over all 2^{k-1}
-    subsets of {r-k+1, ..., r-1} as a chain sum and extracts the exact
-    polynomial by division over the common denominator. Both orbit routes
-    of the stringy E-function are multiples of this one value.
-    """
-    _check_rk(r, k)
-    num, den_exponents = _orbit_chain_sum(r, k)
-    return factor_ratio(num, (), den_exponents)
+        paths[b] = sum((rank_stratum_class(b, b, b - a, paths[a], skipped(a, b))
+                        for a in range(start, b)), ZERO)
+    return factor_ratio(paths[r], (), skipped(start, r + 1))
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +177,7 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
 def stringy_euler(p: LaurentPoly):
     """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial):
     an int, or a Fraction when it is not integral."""
-    return _norm(sum(p.terms.values()))
+    return p.evaluate(1)
 
 
 # -- resolution route ---------------------------------------------------------
@@ -317,26 +304,25 @@ def zeta_closed_expansion(r: int, order: int) -> tuple:
 
     Z(T) = q^{r^2} T^{-r} sum over chains 0 = s_0 < ... < s_m = r of
     prod over steps a -> b of [GL_d][G(d, b)]^2 / (q^{b^2} T^{-b} - 1),
-    d = b - a: the chain sum of the orbit routes with offset 0. Each factor
-    expands as sum_{j>=1} q^{-b^2 j} T^{b j}; partial paths carry their
-    T-degree, truncated at order + r.
+    d = b - a: the chain sum of the orbit routes with offset 0. Partial paths
+    carry their T-degree, truncated at order + r. The factor of b expands as
+    sum_{j>=1} q^{-b^2 j} T^{b j}, so the paths that end at b in T-degree t
+    sum to P_b(t) = q^{-b^2} (R_b(t - b) + P_b(t - b)), where
+    R_b(t) = sum_{a<b} [GL_d][G(d, b)]^2 P_a(t) are the first arrivals: one
+    pass over t sums the geometric series as it goes.
     """
     if r < 1 or order < 0:
         raise InvalidInput("need r >= 1 and order >= 0")
     top = order + r
-    paths = {0: {0: ONE}}
+    paths = [{0: ONE}]
     for b in range(1, r + 1):
         # a path short of r still needs a last step of T-degree >= r
         limit = top if b == r else order
-        reached = {}
-        for a in range(b):
-            for t, c in paths[a].items():
-                if t + b <= limit:  # else no arrival at b fits the truncation
-                    reached[t] = reached.get(t, ZERO) + rank_stratum_class(b, b, b - a, c)
         arrived = {}
-        for t, c in reached.items():
-            for j in range(1, (limit - t) // b + 1):
-                t_new = t + b * j
-                arrived[t_new] = arrived.get(t_new, ZERO) + c.shift(-b * b * j)
-        paths[b] = arrived
+        for t in range(limit - b + 1):  # the T-degree before the step
+            firsts = [rank_stratum_class(b, b, b - a, path[t])
+                      for a, path in enumerate(paths) if t in path]
+            if firsts or t in arrived:
+                arrived[t + b] = sum(firsts, arrived.get(t, ZERO)).shift(-b * b)
+        paths.append(arrived)
     return tuple(paths[r].get(n + r, ZERO).shift(r * r) for n in range(order + 1))

@@ -305,19 +305,17 @@ class TestVerify:
             f"FAIL  zeta_consistency(r={r},order=4)  "
             "(first difference at T^3 q^-4: route 1, reference 0)" for r in (1, 2)]
 
-    def test_orbit_routes_share_one_chain_sum(self, monkeypatch, capsys):
-        calls = []
-        chain_sum = stringy._orbit_chain_sum
-
-        def counted(r, k):
-            calls.append((r, k))
-            return chain_sum(r, k)
-
+    def test_orbit_routes_share_one_chain_sum(self, capsys):
         stringy.grassmannian_subset_sum.cache_clear()
-        monkeypatch.setattr(stringy, "_orbit_chain_sum", counted)
         code, _, _ = run(["verify", "--suite", "identities", "--rmax", "6"], capsys)
         assert code == EXIT_OK
-        assert sorted(calls) == [(r, k) for r in range(2, 7) for k in range(1, r)]
+        # both orbit routes of each (r, k), 1 <= k < r <= 6, read one cached chain sum:
+        # 15 misses, and asking for each (r, k) again misses no more
+        grid = [(r, k) for r in range(2, 7) for k in range(1, r)]
+        assert stringy.grassmannian_subset_sum.cache_info().misses == len(grid) == 15
+        for r, k in grid:
+            stringy.grassmannian_subset_sum(r, k)
+        assert stringy.grassmannian_subset_sum.cache_info().misses == len(grid)
 
     def test_identities_compute_each_closed_form_once(self, monkeypatch, capsys):
         calls = []

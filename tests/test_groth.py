@@ -573,24 +573,25 @@ def test_partition_tail_enumeration():
             assert sorted(tails) == want, (k, cap)
 
 
-def private_groth_names(source: str) -> list:
-    """The ``_`` names of ``groth`` that a module's source imports or reaches by attribute."""
+def private_names(source: str, module: str = "groth") -> list:
+    """The ``_`` names of the package module ``module`` that a module's source imports or
+    reaches by attribute."""
     tree = ast.parse(source)
-    modules = {"groth"}  # the local names bound to the groth module
+    modules = {module}  # the local names bound to the module
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module in (None, "stringydet"):
             modules |= {alias.asname or alias.name for alias in node.names
-                        if alias.name == "groth"}
+                        if alias.name == module}
         elif isinstance(node, ast.Import):
             modules |= {alias.asname for alias in node.names
-                        if alias.name == "stringydet.groth" and alias.asname}
+                        if alias.name == f"stringydet.{module}" and alias.asname}
     reached = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "groth":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             reached += [alias.name for alias in node.names if alias.name.startswith("_")]
         elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and (
                 isinstance(node.value, ast.Name) and node.value.id in modules
-                or isinstance(node.value, ast.Attribute) and node.value.attr == "groth"):
+                or isinstance(node.value, ast.Attribute) and node.value.attr == module):
             reached.append(node.attr)
     return reached
 
@@ -598,15 +599,28 @@ def private_groth_names(source: str) -> list:
 def test_only_groth_uses_its_private_names():
     # factor_ratio is the one entry to the dense builder; the list helpers behind it
     # stay inside groth
-    assert private_groth_names("from .groth import InvalidInput, _dense") == ["_dense"]
-    assert private_groth_names("from . import groth as g\ng._x(groth._y)") == ["_x", "_y"]
-    assert private_groth_names("import stringydet.groth\nstringydet.groth._z") == ["_z"]
-    assert private_groth_names("from .stringy import _orbit_class\nstringy._a") == []
+    assert private_names("from .groth import InvalidInput, _dense") == ["_dense"]
+    assert private_names("from . import groth as g\ng._x(groth._y)") == ["_x", "_y"]
+    assert private_names("import stringydet.groth\nstringydet.groth._z") == ["_z"]
+    assert private_names("from .stringy import _orbit_class\nstringy._a") == []
     package = pathlib.Path(oracle.__file__).parent
-    reached = {path.name: private_groth_names(path.read_text())
+    reached = {path.name: private_names(path.read_text())
                for path in sorted(package.glob("*.py")) if path.name != "groth.py"}
     assert "stringy.py" in reached
     assert {name: names for name, names in reached.items() if names} == {}
+
+
+def test_only_groth_and_rational_use_private_kernel_names():
+    # the kernel's coefficient helpers (_norm, _dense, _from_dense, _raw, _coerce) stay
+    # behind LaurentPoly and factor_ratio; rational goes with the rational layer
+    assert private_names("from .exactalg import ONE, _norm", "exactalg") == ["_norm"]
+    assert private_names("from . import exactalg\nexactalg._raw({})", "exactalg") == ["_raw"]
+    package = pathlib.Path(oracle.__file__).parent
+    reached = {path.name: private_names(path.read_text(), "exactalg")
+               for path in sorted(package.glob("*.py")) if path.name != "exactalg.py"}
+    assert reached["groth.py"] and "stringy.py" in reached
+    assert {name: names for name, names in reached.items()
+            if names and name not in ("groth.py", "rational.py")} == {}
 
 
 def unused_public_names(defining: dict, referring: list) -> list:

@@ -11,7 +11,6 @@ from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
 from stringydet.groth import (class_gl, factor_ratio, gauss_binomial, partition_tails,
                               rank_stratum_class)
 from stringydet.stringy import (
-    _orbit_chain_sum,
     HodgeTable,
     InvalidInput,
     ResolutionData,
@@ -142,8 +141,8 @@ class TestChainSum:
     def test_matches_subset_enumeration(self):
         for r in range(2, 8):
             for k in range(1, r):
-                num, den = _orbit_chain_sum(r, k)
-                assert (num, factor_ratio(ONE, den)) == subset_sum_numerator(r, k), (r, k)
+                num, common = subset_sum_numerator(r, k)
+                assert grassmannian_subset_sum(r, k) * common == num, (r, k)
 
 
 class TestProjective:
@@ -385,6 +384,11 @@ class TestZeta:
             series = zeta_closed_expansion(r, 6)
             assert series == tuple(zeta_coefficient_direct(r, n) for n in range(7))
 
+    def test_closed_expansion_matches_the_two_pass_expansion(self):
+        for r in range(1, 8):
+            for order in range(14):
+                assert zeta_closed_expansion(r, order) == two_pass_expansion(r, order), (r, order)
+
     def test_closed_expansion_builds_only_the_steps_it_uses(self, monkeypatch):
         # a step is applied only to a path term that fits the truncation: at r = 30,
         # order 2, the steps 0 -> 1 and 0 -> 2, then 0, 1 (twice) and 2 -> 30, of the
@@ -405,6 +409,29 @@ class TestZeta:
         assert len(zeta_closed_expansion(2, 3)) == 4
         with pytest.raises(IndexError):
             zeta_closed_expansion(2, 3)[4]
+
+
+def two_pass_expansion(r, order):
+    """Reference for the closed zeta expansion: each level first collects the path terms
+    that reach it, then expands 1/(q^{b^2} T^{-b} - 1) term by term, one shift for each
+    power of the geometric series."""
+    top = order + r
+    paths = {0: {0: ONE}}
+    for b in range(1, r + 1):
+        # a path short of r still needs a last step of T-degree >= r
+        limit = top if b == r else order
+        reached = {}
+        for a in range(b):
+            for t, c in paths[a].items():
+                if t + b <= limit:  # else no arrival at b fits the truncation
+                    reached[t] = reached.get(t, ZERO) + rank_stratum_class(b, b, b - a, c)
+        arrived = {}
+        for t, c in reached.items():
+            for j in range(1, (limit - t) // b + 1):
+                t_new = t + b * j
+                arrived[t_new] = arrived.get(t_new, ZERO) + c.shift(-b * b * j)
+        paths[b] = arrived
+    return tuple(paths[r].get(n + r, ZERO).shift(r * r) for n in range(order + 1))
 
 
 class TestInputValidation:
