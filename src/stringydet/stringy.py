@@ -6,7 +6,9 @@ admits several independent routes to its stringy E-function:
 * a closed form, q^{kr} times a Gaussian binomial;
 * an orbit subset-sum assembled from geometric series of orbit measures;
 * a recursion on the normalized subset sum;
-* for k = 1, direct resolution data from a single blowup;
+* Batyrev's formula on the k-step blowup resolution, a chain sum over the printed
+  log discrepancies: under i -> r - i its steps and denominators are the orbit chain
+  sum's, so it is not independent of the orbit route, but it checks the discrepancies;
 * truncated orbit sums whose coefficients stabilize to the closed form
   above a tail-degree bound, which is a closed integer formula.
 
@@ -39,28 +41,6 @@ class HodgeTable(namedtuple("HodgeTable", "diag")):
     @property
     def non_negative(self) -> bool:
         return min(self.diag.values(), default=0) >= 0
-
-
-class ResolutionData(namedtuple("ResolutionData", "strata discrepancies")):
-    """Log-resolution input for the divisorial stringy E-function formula.
-
-    ``strata`` pairs the E-polynomial of each locally closed stratum with
-    the set of divisor indices containing it; ``discrepancies`` lists the
-    log discrepancies a_i, all required positive.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, strata, discrepancies):
-        strata = tuple((p, frozenset(idx)) for p, idx in strata)
-        discrepancies = tuple(discrepancies)
-        if any(a <= 0 for a in discrepancies):
-            raise InvalidInput("log discrepancies must be positive")
-        n = len(discrepancies)
-        for _, idx in strata:
-            if any(not 0 <= i < n for i in idx):
-                raise InvalidInput("stratum refers to an unknown divisor index")
-        return super().__new__(cls, strata, discrepancies)
 
 
 def _check_rk(r: int, k: int, k_min: int = 0) -> None:
@@ -182,36 +162,25 @@ def stringy_euler(p: LaurentPoly):
 
 # -- resolution route ---------------------------------------------------------
 
-def stringy_e_from_resolution(data: ResolutionData) -> LaurentPoly:
-    """Assemble sum_I E(stratum_I) prod_{i in I} (q - 1)/(q^{a_i} - 1).
-
-    The sum is taken over the common denominator prod_i (q^{a_i} - 1) and
-    extracted by exact division, which raises NotPolynomial when the result
-    genuinely is not a polynomial; for the varieties treated here it always is.
+def stringy_e_from_resolution(r: int, k: int, variety: str) -> LaurentPoly:
+    """Batyrev's formula sum_I [E_I^o] prod_{i in I} (q - 1)/(q^{a_i} - 1) on the k-step
+    blowup, with the a_i of ``log_discrepancies(r, k)``. E_I^o, I = {i_1 < ... < i_m}, is
+    the rank-i_1 stratum times projectivised collineations of ranks i_{l+1} - i_l on
+    (r - i_l)-spaces, i_{m+1} = k, whose 1/(q - 1) cancel the q - 1. Over prod_i
+    (q^{a_i} - 1) that is a path sum to node k: a path starts at b with the rank-b
+    stratum, steps i -> b with [GL_{b-i}][G(b-i, r-i)]^2 and carries the factor of each
+    node it skips. The projective variety drops the strata over the origin, so node 0
+    and with it a_0, and divides by q - 1 too.
     """
-    total = ZERO
-    for e_poly, idx in data.strata:
-        total = total + factor_ratio(
-            e_poly, (1 if i in idx else a for i, a in enumerate(data.discrepancies)))
-    return factor_ratio(total, (), data.discrepancies)
-
-
-def rank_one_resolution_data(r: int) -> ResolutionData:
-    """Resolution data of the rank <= 1 locus: one blowup of the origin.
-
-    The variety minus the origin is smooth with E-polynomial
-    (q^r - 1)^2/(q - 1); the exceptional divisor is a product of two
-    projective spaces with E-polynomial ((q^r - 1)/(q - 1))^2, and the
-    single log discrepancy is r.
-    """
-    if r < 2:
-        raise InvalidInput("need r >= 2 for a singular rank-1 locus")
-    ladder = factor_ratio(ONE, [r], [1])  # [P^{r-1}]
-    off_divisor = factor_ratio(ladder, [r])  # E(D^1) - 1
-    exceptional = factor_ratio(ladder, [r], [1])
-    return ResolutionData(strata=((off_divisor, frozenset()),
-                                  (exceptional, frozenset({0}))),
-                          discrepancies=(r,))
+    if variety not in ("affine", "projective"):
+        raise InvalidInput(f"unknown variety {variety!r}")
+    a = [a_i for _, a_i in log_discrepancies(r, k)]
+    first = variety == "projective"  # the first node: 1 where the origin is dropped
+    paths = {}
+    for b in range(first, k + 1):
+        paths[b] = sum((rank_stratum_class(r - i, r - i, b - i, paths[i], a[i + 1:b])
+                        for i in range(first, b)), rank_stratum_class(r, r, b, ONE, a[first:b]))
+    return factor_ratio(paths[k], (), a[first:] + [1] * first)
 
 
 # -- orbit measures and truncated sums ----------------------------------------

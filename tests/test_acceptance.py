@@ -19,7 +19,6 @@ from stringydet.stringy import (
     grassmannian_subset_sum,
     hodge_table,
     orbit_tail_degree_bound,
-    rank_one_resolution_data,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
     stringy_e_from_resolution,
@@ -32,6 +31,7 @@ from stringydet.stringy import (
 )
 
 from test_groth import gauss_binomial_partition_sum, rank_strata_sum
+from test_stringy import batyrev_sum, rank_one_resolution_data
 
 Q = q_pow(1)
 
@@ -103,10 +103,20 @@ def test_criterion_5_rank_identity():
 
 
 def test_criterion_6_resolution_route():
+    cases = 0
     for r in range(2, 9):
-        assert stringy_e_from_resolution(rank_one_resolution_data(r)) \
-            == stringy_e_affine(r, 1), r
-    _report(6, "one-blowup resolution data reproduces q^r*[G(1,r)] for 2 <= r <= 8")
+        assert stringy_e_from_resolution(r, 1, "affine") \
+            == batyrev_sum(*rank_one_resolution_data(r)), r
+        for k in range(1, r):
+            ladder = LaurentPoly({i: 1 for i in range(k * r)})
+            assert stringy_e_from_resolution(r, k, "affine") \
+                == q_pow(k * r) * gauss_binomial(k, r), (r, k)
+            assert stringy_e_from_resolution(r, k, "projective") \
+                == ladder * gauss_binomial(k, r), (r, k)
+            cases += 1
+    assert cases == 28
+    _report(6, "Batyrev's formula on the k-step resolution reproduces q^(kr)*[G(k,r)] and "
+               "its projective form for 1 <= k < r <= 8, and the one-blowup data at k = 1")
 
 
 def test_criterion_7_orbit_convergence():

@@ -50,7 +50,7 @@ STDOUT_SHA256 = {
     "zeta --r 7 --order 10 --format json":
         "52b33f6316330b5c8d8c0109a7f82b443c64302deb3d6be794e1474b5d657c28",
     "verify --suite identities --rmax 6":
-        "9ce54dbda2abd1de96459422e86e0258ada5c3da78b093c223f912d7aa6fa7a1",
+        "8071ca7b5a029cc48b46d791105d1bbf2be4456f9c3d3bd7692c2f195dd26df4",
     "verify --suite orbits --rmax 4":
         "ebb6b9406b2eebb6d4339bbf83f5be0f5a80c329e4cb2d274b283666a33cbbf9",
     "table --rmax 13 --variety both --format json":

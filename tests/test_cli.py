@@ -17,6 +17,8 @@ from stringydet.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from stringydet.report import compute_record, table_rows
 from stringydet.exactalg import ONE, LaurentPoly, q_pow
 
+from test_stringy import wrong_discrepancy
+
 
 # ``table --rmax 4 --variety both --format latex``, byte for byte.
 LATEX_RMAX_4_BOTH = r"""\begin{tabular}{lllll}
@@ -304,6 +306,37 @@ class TestVerify:
         assert out.splitlines() == [
             f"FAIL  zeta_consistency(r={r},order=4)  "
             "(first difference at T^3 q^-4: route 1, reference 0)" for r in (1, 2)]
+
+    @pytest.mark.parametrize("extra,detail", [(1, "route has an extra T^5"),
+                                              (-1, "route is missing T^4")])
+    def test_zeta_series_of_another_length_names_its_first_term(self, extra, detail,
+                                                                 monkeypatch, capsys):
+        # the shared prefix agrees: the lengths decide
+        expansion = stringy.zeta_closed_expansion
+        monkeypatch.setattr(stringy, "zeta_closed_expansion",
+                            lambda r, order: expansion(r, order + extra))
+        code, out, _ = run(["verify", "--suite", "zeta", "--rmax", "2"], capsys)
+        assert code == EXIT_FAIL
+        assert out.splitlines() == [
+            f"FAIL  zeta_consistency(r={r},order=4)  ({detail})" for r in (1, 2)]
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_wrong_discrepancy_fails_the_resolution_checks(self, at, monkeypatch, capsys):
+        argv = ["verify", "--suite", "identities", "--rmax", "5"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        names = [line.split("  ")[1] for line in out.splitlines()]
+        wrong_discrepancy(monkeypatch, at)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_FAIL and err == ""
+        lines = [line.split("  ") for line in out.splitlines()]
+        assert [name for _, name, *_ in lines] == names
+        failed = {name for status, name, *_ in lines if status == "FAIL"}
+        assert all(name.startswith(("resolution_", "rank_one_resolution(")) for name in failed)
+        # every affine case that reads a_at fails; the projective sum never reads a_0
+        assert {f"resolution_affine({r},{k})"
+                for r in range(2, 6) for k in range(at + 1, r)} <= failed
+        assert any(name.startswith("resolution_projective(") for name in failed) == (at > 0)
 
     def test_orbit_routes_share_one_chain_sum(self, capsys):
         stringy.grassmannian_subset_sum.cache_clear()

@@ -670,3 +670,43 @@ def test_every_public_name_is_used_by_the_program_or_the_benchmark():
                 if path.parent == package and path.name != "rational.py"}
     assert "tracer" in {path.stem for path in sources} and "cli" in defining
     assert unused_public_names(defining, list(sources.values())) == []
+
+
+def call_graph(sources) -> dict:
+    """Function name -> the names of the sources' functions that its body names, by a name
+    or an attribute, calls and references alike. Methods and nested functions are keyed by
+    their bare names, and the defs of one name share their edges, so the graph can only
+    over-reach."""
+    defs = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    return {name: {node.id if isinstance(node, ast.Name) else node.attr
+                   for body in bodies for node in ast.walk(body)
+                   if isinstance(node, (ast.Name, ast.Attribute))} & defs.keys() - {name}
+            for name, bodies in defs.items()}
+
+
+def reached(graph: dict, start: str) -> set:
+    seen, todo = set(), [start]
+    while todo:
+        new = graph[todo.pop()] - seen
+        seen |= new
+        todo += new
+    return seen
+
+
+def test_shared_code_pins():
+    graph = call_graph(["def f():\n    g()\ndef g():\n    return h.k\ndef k(): pass\n"
+                        "def h():\n    def k(): f\n"])
+    assert graph == {"f": {"g"}, "g": {"h", "k"}, "k": {"f"}, "h": {"f"}}  # a nested body too
+    assert reached(graph, "k") == {"f", "g", "h", "k"}
+    package = pathlib.Path(oracle.__file__).parent
+    graph = call_graph(path.read_text() for path in sorted(package.glob("*.py")))
+    # the orbit measures share the class builders with the chain sums, never their step
+    assert {"gauss_binomial", "class_gl"} <= reached(graph, "_orbit_class")
+    assert "rank_stratum_class" in reached(graph, "grassmannian_subset_sum")
+    assert "rank_stratum_class" not in reached(graph, "_orbit_class")
+    # the printed log discrepancies feed the resolution route
+    assert "log_discrepancies" in reached(graph, "stringy_e_from_resolution")

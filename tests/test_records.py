@@ -7,9 +7,8 @@ from types import MappingProxyType
 
 import pytest
 
-from stringydet.exactalg import ONE, q_pow
 from stringydet.oracle import InvariantReport, RankCensus, UnsupportedPrime, check_prime
-from stringydet.stringy import HodgeTable, InvalidInput, ResolutionData, orbit_measure
+from stringydet.stringy import HodgeTable, InvalidInput, orbit_measure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 UNHASHABLE = (RankCensus, HodgeTable, InvariantReport)  # hold a dict or a list
@@ -19,7 +18,6 @@ def frozen_records():
     """Two equal, separately built copies of every frozen record."""
     def build():
         return [
-            ResolutionData(strata=[(q_pow(2), [0]), (ONE, set())], discrepancies=[2]),
             RankCensus(counts=MappingProxyType({0: 1, 1: 1})),
             HodgeTable(diag={0: 1, 1: 1}),
             InvariantReport(checks=[("gl(1) at q=2", True, "1")]),
@@ -52,7 +50,6 @@ class TestFrozenRecords:
                     hash(a)
 
     def test_unequal_fields_compare_unequal(self):
-        assert ResolutionData(((ONE, ()),), (2,)) != ResolutionData(((ONE, ()),), (3,))
         assert HodgeTable({0: 1}) != HodgeTable({0: 2})
         assert InvariantReport([("x", True, "")]) != InvariantReport([("x", False, "")])
 
@@ -63,11 +60,6 @@ class TestFrozenRecords:
                     setattr(a, name, None)
             with pytest.raises(AttributeError):
                 a.extra = 1
-
-    def test_fields_are_normalised(self):
-        data = ResolutionData(strata=[(ONE, [0])], discrepancies=[3])
-        assert data.strata == ((ONE, frozenset({0})),)
-        assert data.discrepancies == (3,)
 
     def test_methods_and_repr(self):
         assert HodgeTable({0: 1, 1: -1}).non_negative is False
@@ -80,14 +72,10 @@ class TestFrozenRecords:
         (lambda: orbit_measure(3, 2, (1, 2)), InvalidInput,
          "entries must be weakly decreasing"),
         (lambda: orbit_measure(1, 2, (1, 0)), InvalidInput, "need 1 <= k <= r"),
-        (lambda: ResolutionData(((ONE, ()),), (0,)), InvalidInput,
-         "log discrepancies must be positive"),
-        (lambda: ResolutionData(((ONE, (1,)),), (2,)), InvalidInput,
-         "stratum refers to an unknown divisor index"),
         (lambda: check_prime(6), UnsupportedPrime, "6 is not prime"),
         (lambda: check_prime(11), UnsupportedPrime, "11 is above the cap 7"),
     ], ids=["tail_length", "tail_negative", "tail_increasing", "tail_k",
-            "discrepancy", "divisor_index", "not_prime", "above_cap"])
+            "not_prime", "above_cap"])
     def test_validation_errors(self, build, error, message):
         with pytest.raises(error) as info:
             build()

@@ -13,14 +13,12 @@ from stringydet.groth import (class_gl, factor_ratio, gauss_binomial, partition_
 from stringydet.stringy import (
     HodgeTable,
     InvalidInput,
-    ResolutionData,
     grassmannian_recursive,
     grassmannian_subset_sum,
     hodge_table,
     log_discrepancies,
     orbit_measure,
     orbit_tail_degree_bound,
-    rank_one_resolution_data,
     stringy_e_affine,
     stringy_e_affine_from_orbits,
     stringy_e_from_resolution,
@@ -209,15 +207,19 @@ class TestHodgeAndEuler:
     def test_euler_is_the_value_at_one_on_the_table_grid(self):
         for r in range(2, 14):
             for k in range(1, r):
-                for p in (stringy_e_affine(r, k), stringy_e_projective(r, k)):
+                for p, count in ((stringy_e_affine(r, k), comb(r, k)),
+                                 (stringy_e_projective(r, k), k * r * comb(r, k))):
                     euler = stringy_euler(p)
-                    assert euler == p.evaluate(1) and type(euler) is int, (r, k)
+                    assert euler == sum(p.terms.values()) == count, (r, k)
+                    assert type(euler) is int, (r, k)
 
     @given(laurent_polys)
     def test_euler_is_the_value_at_one(self, p):
+        # the sum of the coefficients, an int when it is integral
+        total = Fraction(sum(p.terms.values()))
         euler = stringy_euler(p)
-        assert euler == p.evaluate(1)
-        assert type(euler) is type(p.evaluate(1))
+        assert euler == total
+        assert type(euler) is (int if total.denominator == 1 else Fraction)
 
     def test_integral_fraction_sum_is_an_int(self):
         for p in (LaurentPoly({-2: Fraction(1, 2), 3: Fraction(1, 2)}),
@@ -227,33 +229,110 @@ class TestHodgeAndEuler:
             assert euler == p.evaluate(1) and type(euler) is int, p
 
 
+def batyrev_sum(strata, discrepancies):
+    """Batyrev's formula over explicit strata, the reference of the chain-sum route:
+    sum_I E(stratum_I) prod_{i in I} (q - 1)/(q^{a_i} - 1) over the common denominator
+    prod_i (q^{a_i} - 1), for strata given as (E-polynomial, set I of divisor indices)."""
+    total = ZERO
+    for e_poly, idx in strata:
+        total = total + factor_ratio(
+            e_poly, [1 if i in idx else a for i, a in enumerate(discrepancies)])
+    return factor_ratio(total, (), discrepancies)
+
+
+def rank_one_resolution_data(r):
+    """Hand-built data of the rank <= 1 locus, one blowup of the origin: off the
+    divisor (q^r - 1)^2/(q - 1), and the exceptional P^{r-1} x P^{r-1}, with the single
+    log discrepancy r."""
+    ladder = factor_ratio(ONE, [r], [1])  # [P^{r-1}]
+    return ((factor_ratio(ladder, [r]), frozenset()),
+            (ladder * ladder, frozenset({0}))), (r,)
+
+
+def resolution_strata(r, k, variety):
+    """The 2^k strata E_I^o of the k-step blowup resolution, with the paper's log
+    discrepancies (k - i)(r - i): the rank-k stratum for I empty, and for
+    I = {i_1 < ... < i_m} the rank-i_1 stratum times the projectivised collineations of
+    exact ranks i_{l+1} - i_l on (r - i_l)-spaces, i_{m+1} = k. The projective variety
+    keeps the strata off the origin, 0 not in I."""
+    def rank_class(n, j):  # the n x n matrices of rank exactly j
+        return class_gl(j) * gauss_binomial(j, n) ** 2
+
+    strata = []
+    for size in range(k + 1):
+        for idx in itertools.combinations(range(k), size):
+            if variety == "projective" and 0 in idx:
+                continue
+            e_poly = rank_class(r, idx[0] if idx else k)
+            for lo, hi in zip(idx, (*idx[1:], k)):
+                e_poly = factor_ratio(e_poly * rank_class(r - lo, hi - lo), (), [1])
+            strata.append((e_poly, frozenset(idx)))
+    return strata, [(k - i) * (r - i) for i in range(k)]
+
+
+def wrong_discrepancy(monkeypatch, at):
+    """Add 1 to the log discrepancy a_at that ``stringy`` reads, where there is one."""
+    monkeypatch.setattr(stringy, "log_discrepancies", lambda r, k: [
+        (i, a + (i == at)) for i, a in log_discrepancies(r, k)])
+
+
 class TestResolutionRoute:
     def test_smooth_case_identity(self):
         p = q_pow(2) + 3 * Q
-        data = ResolutionData(strata=((p, frozenset()),), discrepancies=(2,))
-        assert stringy_e_from_resolution(data) == p
+        assert batyrev_sum(((p, frozenset()),), (2,)) == p
 
     def test_rank_one_r2_data(self):
-        data = ResolutionData(
-            strata=((LaurentPoly({3: 1, 2: 1, 1: -1, 0: -1}), frozenset()),
-                    (LaurentPoly({2: 1, 1: 2, 0: 1}), frozenset({0}))),
-            discrepancies=(2,))
-        assert stringy_e_from_resolution(data) == q_pow(2) + q_pow(3)
+        strata = ((LaurentPoly({3: 1, 2: 1, 1: -1, 0: -1}), frozenset()),
+                  (LaurentPoly({2: 1, 1: 2, 0: 1}), frozenset({0})))
+        assert rank_one_resolution_data(2) == (strata, (2,))
+        assert batyrev_sum(strata, (2,)) == q_pow(2) + q_pow(3)
 
     def test_rank_one_general(self):
         for r in range(2, 9):
-            via_resolution = stringy_e_from_resolution(rank_one_resolution_data(r))
+            via_resolution = stringy_e_from_resolution(r, 1, "affine")
+            assert via_resolution == batyrev_sum(*rank_one_resolution_data(r))
             assert via_resolution == q_pow(r) * gauss_binomial(1, r)
             assert via_resolution == stringy_e_affine(r, 1)
 
-    def test_nonpolynomial_surfaces(self):
-        data = ResolutionData(strata=((ONE, frozenset({0})),), discrepancies=(3,))
-        with pytest.raises(NotPolynomial):
-            stringy_e_from_resolution(data)
+    def test_matches_the_strata_sum(self):
+        for r in range(2, 7):
+            for k in range(1, r):
+                strata, discrepancies = resolution_strata(r, k, "affine")
+                assert len(strata) == 2 ** k
+                assert stringy_e_from_resolution(r, k, "affine") \
+                    == batyrev_sum(strata, discrepancies), (r, k)
+                strata, discrepancies = resolution_strata(r, k, "projective")
+                assert stringy_e_from_resolution(r, k, "projective") \
+                    == factor_ratio(batyrev_sum(strata, discrepancies), (), [1]), (r, k)
 
-    def test_positive_discrepancy_required(self):
+    def test_nonpolynomial_surfaces(self, monkeypatch):
+        with pytest.raises(NotPolynomial):
+            batyrev_sum(((ONE, frozenset({0})),), (3,))
+        cases = 0
+        for at in range(6):
+            wrong_discrepancy(monkeypatch, at)
+            for r in range(2, 8):
+                for k in range(at + 1, r):
+                    with pytest.raises(NotPolynomial):
+                        stringy_e_from_resolution(r, k, "affine")
+                    cases += 1
+        assert cases == 56  # every a_i of every 1 <= k < r <= 7
+
+    def test_the_projective_sum_reads_every_a_i_but_a_0(self, monkeypatch):
+        # the projective variety has no node 0
+        for at in range(4):
+            wrong_discrepancy(monkeypatch, at)
+            for r in range(2, 7):
+                for k in range(at + 1, r):
+                    try:
+                        value = stringy_e_from_resolution(r, k, "projective")
+                    except NotPolynomial:
+                        value = None
+                    assert (value == stringy_e_projective(r, k)) == (at == 0), (at, r, k)
+
+    def test_bad_variety(self):
         with pytest.raises(InvalidInput):
-            ResolutionData(strata=((ONE, frozenset()),), discrepancies=(0,))
+            stringy_e_from_resolution(3, 1, "conic")
 
 
 def block_structure_measure(r, k, tail):
@@ -358,6 +437,19 @@ class TestOrbitSums:
                 for cap in range(6):
                     assert orbit_tail_degree_bound(r, k, cap) \
                         == max_class_deg - (r - k + 1) * (cap + 1), (r, k, cap)
+
+    def test_bound_is_reached_by_an_omitted_tail(self):
+        # the bound is tight: the omitted tail (cap + 1, 0, ..., 0), weighted as the
+        # truncated sum weights it, has exactly that degree
+        cases = 0
+        for r in range(2, 8):
+            for k in range(1, r):
+                for cap in range(6):
+                    tail = (cap + 1,) + (0,) * (k - 1)
+                    term = orbit_measure(r, k, tail).shift((r - k) * (cap + 1))
+                    assert term.degree() == orbit_tail_degree_bound(r, k, cap), (r, k, cap)
+                    cases += 1
+        assert cases == 126
 
     def test_bound_decreases_in_cap(self):
         bounds = [orbit_tail_degree_bound(3, 2, cap) for cap in range(6)]
