@@ -1,11 +1,12 @@
 """Stringy invariants of rank-bounded square-matrix varieties.
 
 The variety of r x r matrices of rank <= k (and its projectivization)
-admits several independent routes to its stringy E-function:
+admits several routes to its stringy E-function:
 
 * a closed form, q^{kr} times a Gaussian binomial;
 * an orbit subset-sum assembled from geometric series of orbit measures;
-* a recursion on the normalized subset sum;
+* a recursion on the normalized subset sum: the orbit chain sum with the same steps
+  and start, divided at every level, so not independent of the orbit route;
 * Batyrev's formula on the k-step blowup resolution, a chain sum over the printed
   log discrepancies: under i -> r - i its steps and denominators are the orbit chain
   sum's, so it is not independent of the orbit route, but it checks the discrepancies;
@@ -20,27 +21,12 @@ function of the determinant hypersurface (k = r - 1) is also provided, in
 two forms that are checked against each other: the same chain sum expanded
 in T, and direct sums over partitions.
 """
-from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import mul
 
 from .exactalg import LaurentPoly, ONE, ZERO
 from .groth import (InvalidInput, class_gl, factor_ratio, gauss_binomial, partition_tails,
                     rank_stratum_class)
-
-
-class HodgeTable(namedtuple("HodgeTable", "diag")):
-    """Diagonal stringy Hodge numbers h^{p,p} read off a polynomial.
-
-    Off-diagonal entries vanish because every class in play is a polynomial
-    in q = uv.
-    """
-
-    __slots__ = ()
-
-    @property
-    def non_negative(self) -> bool:
-        return min(self.diag.values(), default=0) >= 0
 
 
 def _check_rk(r: int, k: int, k_min: int = 0) -> None:
@@ -142,8 +128,11 @@ def stringy_e_projective_from_orbits(r: int, k: int) -> LaurentPoly:
 
 # -- Hodge and Euler numbers -------------------------------------------------
 
-def hodge_table(p: LaurentPoly) -> HodgeTable:
-    """Diagonal Hodge numbers of a polynomial stringy E-function."""
+def hodge_table(p: LaurentPoly) -> dict:
+    """The diagonal stringy Hodge numbers {p: h^{p,p}} of a polynomial stringy E-function,
+    its int coefficients in increasing p: the degree is the last key and the stringy Euler
+    number, E_st(1, 1), is the sum of the values. Off-diagonal entries vanish because
+    every class in play is a polynomial in q = uv."""
     if not p.is_polynomial():
         raise InvalidInput("stringy Hodge numbers need a polynomial")
     diag = {}
@@ -151,13 +140,12 @@ def hodge_table(p: LaurentPoly) -> HodgeTable:
         if type(c) is not int:
             raise InvalidInput(f"non-integer coefficient {c} at q^{exp}")
         diag[exp] = c
-    return HodgeTable(diag=diag)
+    return diag
 
 
-def stringy_euler(p: LaurentPoly):
-    """Value at q = 1, the sum of the coefficients (the u, v -> 1 limit of a polynomial):
-    an int, or a Fraction when it is not integral."""
-    return p.evaluate(1)
+def non_negative(diag: dict) -> bool:
+    """Whether every Hodge number of a diagonal is >= 0."""
+    return min(diag.values(), default=0) >= 0
 
 
 # -- resolution route ---------------------------------------------------------

@@ -36,6 +36,6 @@ def test_every_annotation_resolves():
             typing.get_type_hints(fn)
         except NameError as exc:
             unresolved.append((name, str(exc)))
-    assert "stringydet.stringy.stringy_euler" in names
-    assert "stringydet.stringy.HodgeTable.non_negative" in names
+    assert "stringydet.stringy.non_negative" in names
+    assert "stringydet.exactalg.LaurentPoly.terms" in names  # a property
     assert unresolved == []

@@ -418,7 +418,9 @@ class TestTable:
     def test_json_has_one_row_per_line(self, capsys):
         code, out, _ = run("table --rmax 6 --variety both --format json".split(), capsys)
         assert code == EXIT_OK
-        rows = list(table_rows(6, ["affine", "projective"]))
+        # a row carries its Hodge diagonal, printed as [exponent, "coefficient"] pairs
+        rows = [{**row, "coefficients": [[e, str(c)] for e, c in row["coefficients"].items()]}
+                for row in table_rows(6, ["affine", "projective"])]
         lines = out.splitlines()
         assert lines[0] == "[" and lines[-1] == "]"
         assert len(lines) == len(rows) + 2 == 32
@@ -446,6 +448,84 @@ class TestTable:
         first = run(["table", "--rmax", "4", "--format", "json"], capsys)
         second = run(["table", "--rmax", "4", "--format", "json"], capsys)
         assert first == second
+
+
+def printed_euler_numbers(capsys, rmax: int) -> dict:
+    """(r, k, variety) -> the Euler numbers that ``table`` and ``compute`` print, and the
+    exit status of ``compute``."""
+    code, out, _ = run(f"table --rmax {rmax} --variety both --format json".split(), capsys)
+    assert code == EXIT_OK
+    printed = {}
+    for row in json.loads(out):
+        r, k, variety = row["r"], row["k"], row["variety"]
+        code, out, _ = run(f"compute --r {r} --k {k} --variety {variety}".split(), capsys)
+        euler = re.search(r"^euler = (\S+)", out, re.M).group(1)
+        printed[r, k, variety] = (row["euler"], euler, code)
+    return printed
+
+
+class TestPrintedEulerNumber:
+    """The printed Euler number is the sum of a Hodge diagonal; ``closed.evaluate(1)``,
+    the value at q = 1 that it replaced, is kept here as its oracle."""
+
+    def test_equals_the_value_at_one(self, capsys):
+        printed = printed_euler_numbers(capsys, 13)
+        assert len(printed) == 2 * 78
+        for (r, k, variety), numbers in printed.items():
+            closed = report._routes(variety)[0](r, k)
+            euler = str(closed.evaluate(1))
+            assert numbers == (euler, euler, EXIT_OK), (r, k, variety)
+
+    @pytest.mark.parametrize("variety", report.VARIETIES)
+    def test_a_patched_coefficient_moves_it_and_fails_the_check(self, variety, capsys,
+                                                                monkeypatch):
+        name = report.VARIETIES[variety][0]
+        closed_form = getattr(stringy, name)
+
+        def patched(r, k):  # one more at the middle exponent
+            closed = closed_form(r, k)
+            return closed + q_pow((closed.order() + closed.degree()) // 2)
+        monkeypatch.setattr(stringy, name, patched)
+        for (r, k, printed), numbers in printed_euler_numbers(capsys, 5).items():
+            # the patched closed form also fails compute's comparison with the orbit route
+            closed = getattr(stringy, report.VARIETIES[printed][0])(r, k)
+            euler, code = str(closed.evaluate(1)), EXIT_OK
+            if printed == variety:
+                assert euler == str(closed_form(r, k).evaluate(1) + 1)
+                code = EXIT_FAIL
+            assert numbers == (euler, euler, code), (r, k, printed)
+        code, out, _ = run("verify --suite identities --rmax 5".split(), capsys)
+        assert code == EXIT_FAIL
+        verdicts = {line.split()[1]: line.split()[0] for line in out.splitlines()}
+        for r in range(2, 6):
+            for k in range(1, r):
+                for checked in report.VARIETIES:
+                    expected = "FAIL" if checked == variety else "pass"
+                    assert verdicts[f"euler_{checked}({r},{k})"] == expected, (checked, r, k)
+
+    @pytest.mark.parametrize("variety", report.VARIETIES)
+    def test_a_closed_form_with_no_diagonal_fails_its_checks(self, variety, capsys,
+                                                             monkeypatch):
+        # every check is still listed and run, and those read off the diagonal say why
+        names = [name for name, _, _ in report.suite_identities(4)]
+        name = report.VARIETIES[variety][0]
+        closed_form = getattr(stringy, name)
+
+        def patched(r, k):  # a half at the lowest exponent
+            closed = closed_form(r, k)
+            return closed + LaurentPoly({closed.order(): Fraction(1, 2)})
+        monkeypatch.setattr(stringy, name, patched)
+        code, out, err = run("verify --suite identities --rmax 4".split(), capsys)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert [line.split()[1] for line in out.splitlines()] == names
+        failing = {f"euler_{variety}"} | ({"nonnegativity"} if variety == "projective" else set())
+        for line in out.splitlines():
+            verdict, check = line.split()[:2]
+            kind = check.split("(")[0]
+            if kind in failing:
+                assert verdict == "FAIL" and "(non-integer coefficient " in line, line
+            elif kind in ("euler_affine", "euler_projective", "nonnegativity"):
+                assert verdict == "pass", line
 
 
 class TestZetaAndOracle:

@@ -11,12 +11,12 @@ from stringydet.exactalg import ONE, ZERO, LaurentPoly, NotPolynomial, q_pow
 from stringydet.groth import (class_gl, factor_ratio, gauss_binomial, partition_tails,
                               rank_stratum_class)
 from stringydet.stringy import (
-    HodgeTable,
     InvalidInput,
     grassmannian_recursive,
     grassmannian_subset_sum,
     hodge_table,
     log_discrepancies,
+    non_negative,
     orbit_measure,
     orbit_tail_degree_bound,
     stringy_e_affine,
@@ -24,7 +24,6 @@ from stringydet.stringy import (
     stringy_e_from_resolution,
     stringy_e_projective,
     stringy_e_projective_from_orbits,
-    stringy_euler,
     truncated_orbit_sum,
     zeta_closed_expansion,
     zeta_coefficient_direct,
@@ -176,17 +175,23 @@ class TestProjective:
 
 class TestHodgeAndEuler:
     def test_product_of_lines_table(self):
-        table = hodge_table(stringy_e_projective(2, 1))
-        assert table.diag == {0: 1, 1: 2, 2: 1}
-        assert table.non_negative
+        diag = hodge_table(stringy_e_projective(2, 1))
+        assert diag == {0: 1, 1: 2, 2: 1}
+        assert non_negative(diag)
 
     def test_constant(self):
-        assert hodge_table(ONE).diag == {0: 1}
+        assert hodge_table(ONE) == {0: 1}
+
+    def test_diagonal_is_sorted(self):
+        diag = hodge_table(LaurentPoly({5: 2, 0: 1, 3: -4}))
+        assert list(diag.items()) == [(0, 1), (3, -4), (5, 2)]
+        assert not non_negative(diag)
+        assert non_negative({}) and non_negative({0: 0})
 
     def test_nonnegativity_grid(self):
         for r in range(2, 11):
             for k in range(1, r):
-                assert hodge_table(stringy_e_projective(r, k)).non_negative
+                assert non_negative(hodge_table(stringy_e_projective(r, k)))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvalidInput):
@@ -195,29 +200,30 @@ class TestHodgeAndEuler:
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(InvalidInput):
             hodge_table(LaurentPoly({0: 1, 1: Fraction(1, 2)}))
-        assert type(hodge_table(LaurentPoly({1: Fraction(4, 2)})).diag[1]) is int
+        assert type(hodge_table(LaurentPoly({1: Fraction(4, 2)}))[1]) is int
 
     def test_euler_numbers(self):
         for r in range(2, 11):
             for k in range(1, r):
-                assert stringy_euler(stringy_e_affine(r, k)) == comb(r, k)
-                assert stringy_euler(stringy_e_projective(r, k)) == k * r * comb(r, k)
-        assert stringy_euler(ONE) == 1
+                assert stringy_e_affine(r, k).evaluate(1) == comb(r, k)
+                assert stringy_e_projective(r, k).evaluate(1) == k * r * comb(r, k)
+        assert ONE.evaluate(1) == 1
 
     def test_euler_is_the_value_at_one_on_the_table_grid(self):
+        # the sum of the diagonal, the Euler number that is printed, against evaluate(1)
         for r in range(2, 14):
             for k in range(1, r):
                 for p, count in ((stringy_e_affine(r, k), comb(r, k)),
                                  (stringy_e_projective(r, k), k * r * comb(r, k))):
-                    euler = stringy_euler(p)
-                    assert euler == sum(p.terms.values()) == count, (r, k)
+                    euler = sum(hodge_table(p).values())
+                    assert euler == p.evaluate(1) == count, (r, k)
                     assert type(euler) is int, (r, k)
 
     @given(laurent_polys)
     def test_euler_is_the_value_at_one(self, p):
         # the sum of the coefficients, an int when it is integral
         total = Fraction(sum(p.terms.values()))
-        euler = stringy_euler(p)
+        euler = p.evaluate(1)
         assert euler == total
         assert type(euler) is (int if total.denominator == 1 else Fraction)
 
@@ -225,8 +231,8 @@ class TestHodgeAndEuler:
         for p in (LaurentPoly({-2: Fraction(1, 2), 3: Fraction(1, 2)}),
                   LaurentPoly({0: Fraction(1, 3), 1: Fraction(2, 3), 4: 5}),
                   LaurentPoly({1: Fraction(1, 2), 2: Fraction(-1, 2)})):
-            euler = stringy_euler(p)
-            assert euler == p.evaluate(1) and type(euler) is int, p
+            euler = p.evaluate(1)
+            assert euler == sum(p.terms.values()) and type(euler) is int, p
 
 
 def batyrev_sum(strata, discrepancies):

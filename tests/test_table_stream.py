@@ -1,10 +1,12 @@
 """``table`` computes, renders and writes one row at a time.
 
 The list-building ``table_rows`` and ``_render_table`` that the streamed ones
-replaced are kept here as the reference: the streamed output must match them
-byte for byte, its first row must be written before the second closed form is
-computed, and it must never hold more than a fraction of its output. A JSON row
-is written without ``json``, which stays here as its oracle.
+replaced are kept here as the reference, with the sorted coefficient pairs,
+``evaluate(1)`` and the coefficient scan that the rows now read off one Hodge
+diagonal: the streamed output must match them byte for byte, its first row must
+be written before the second closed form is computed, and it must never hold
+more than a fraction of its output. A JSON row is written without ``json``,
+which stays here as its oracle.
 """
 import io
 import json
@@ -31,18 +33,30 @@ def reference_table_rows(rmax: int, varieties) -> list:
             for variety in varieties:
                 poly = report._routes(variety)[0](r, k)
                 dim = k * (2 * r - k) - (variety == "projective")
-                table = stringy.hodge_table(poly)
                 rows.append({
                     "r": r,
                     "k": k,
                     "variety": variety,
                     "dim": dim,
                     "degree": poly.degree(),
-                    "euler": str(stringy.stringy_euler(poly)),
-                    "nonneg": table.non_negative,
-                    "coefficients": report._poly_pairs(poly),
+                    "euler": str(poly.evaluate(1)),
+                    "nonneg": all(c >= 0 for c in poly.terms.values()),
+                    "coefficients": [[e, str(c)] for e, c in sorted(poly.terms.items())],
                 })
     return rows
+
+
+def reference_render_uv(pairs: list) -> str:
+    parts = []
+    for exp, c in pairs:
+        coeff = "" if c == "1" else c
+        if exp == 0:
+            parts.append(c)
+        elif exp == 1:
+            parts.append(f"{coeff}(uv)")
+        else:
+            parts.append(f"{coeff}(uv)^{{{exp}}}")
+    return " + ".join(parts) or "0"
 
 
 def reference_render_table(rows: list, fmt: str) -> str:
@@ -60,7 +74,7 @@ def reference_render_table(rows: list, fmt: str) -> str:
                  r"$r$ & $k$ & variety & $E_{st}$ & Euler \\ \hline"]
         for row in rows:
             lines.append(f"{row['r']} & {row['k']} & {row['variety']} & "
-                         f"${report._render_uv(row['coefficients'])}$ & {row['euler']} \\\\")
+                         f"${reference_render_uv(row['coefficients'])}$ & {row['euler']} \\\\")
         lines.append(r"\end{tabular}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
@@ -92,17 +106,21 @@ def test_benchmark_table_matches_the_reference(capsys):
 
 # the integers a row can hold: small, negative, and beyond 64 bits
 INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
-# a row's keys in the order ``table_rows`` gives them, which json.dumps keeps
+# a row's keys in the order ``table_rows`` gives them, which json.dumps keeps; its
+# coefficients are a Hodge diagonal, {exponent: int}
 JSON_ROWS = st.tuples(
     INTS, INTS, st.sampled_from(["affine", "projective"]), INTS, INTS, INTS.map(str),
-    st.booleans(), st.lists(st.tuples(INTS, INTS.map(str)).map(list), max_size=6),
+    st.booleans(), st.dictionaries(INTS, INTS, max_size=6),
 ).map(lambda values: dict(zip(
     ["r", "k", "variety", "dim", "degree", "euler", "nonneg", "coefficients"], values)))
 
 
 @given(JSON_ROWS)
 def test_json_row_is_json_dumps(row):
-    assert list(report._render_table([row], "json")) == ["[\n" + json.dumps(row), "\n]\n"]
+    # the diagonal is printed as its [exponent, "coefficient"] pairs, in its order
+    pairs = [[e, str(c)] for e, c in row["coefficients"].items()]
+    printed = json.dumps({**row, "coefficients": pairs})
+    assert list(report._render_table([row], "json")) == ["[\n" + printed, "\n]\n"]
 
 
 # -- one row at a time ------------------------------------------------------------
