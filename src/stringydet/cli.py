@@ -152,10 +152,7 @@ def main(argv=None) -> int:
             from . import report  # every command but the oracle's runs the routes
         if args.command == "compute":
             record = report.compute_record(args.r, args.k, args.variety)
-            if args.format == "json":
-                print(report._json(record))
-            else:
-                print(report._record_text(record))
+            print(report._json(record) if args.format == "json" else report._record_text(record))
             return EXIT_OK if all(ok for _, ok, _ in record["checks"]) else EXIT_FAIL
 
         if args.command == "verify":

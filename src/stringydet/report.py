@@ -1,25 +1,28 @@
 """The route commands' records, suites of checks and tables, loaded by ``cli`` only
 for the commands that run the routes. ``groth`` and ``stringy`` are called through
 their modules, so a wrapped or patched function is the one that runs."""
+from functools import cache
 from math import comb
 
 from . import groth, stringy
 from .exactalg import LaurentPoly, NotPolynomial, q_pow
 
-# The closed form and the orbit route of each variety, by name in ``stringy``:
-# looked up at call time, so a wrapped or patched route is the one that runs.
-VARIETIES = {
-    "affine": ("stringy_e_affine", "stringy_e_affine_from_orbits"),
-    "projective": ("stringy_e_projective", "stringy_e_projective_from_orbits"),
+# Each invariant checked per (r, k): its reference and the routes checked against it, by
+# check name, each a call (r, k) -> polynomial that looks its function up at run time.
+ROUTES = {
+    "affine": (lambda r, k: stringy.stringy_e_affine(r, k), {
+        "affine_theorem": lambda r, k: stringy.stringy_e_affine_from_orbits(r, k),
+        "resolution_affine": lambda r, k: stringy.stringy_e_from_resolution(r, k, "affine")}),
+    "projective": (lambda r, k: stringy.stringy_e_projective(r, k), {
+        "projective_theorem": lambda r, k: stringy.stringy_e_projective_from_orbits(r, k),
+        "resolution_projective": lambda r, k: (
+            stringy.stringy_e_from_resolution(r, k, "projective"))}),
+    "grassmannian": (lambda r, k: groth.gauss_binomial(k, r), {
+        "subset_sum_is_grassmannian": lambda r, k: stringy.grassmannian_subset_sum(r, k),
+        "recursion_is_grassmannian": lambda r, k: stringy.grassmannian_recursive(r, k)}),
+    "rank_identity": (lambda r, k: q_pow(k * r), {"rank_identity": lambda r, k: sum(
+        groth.rank_stratum_class(r, k, j) for j in range(k + 1))}),
 }
-
-
-def _routes(variety: str) -> list:
-    return [getattr(stringy, name) for name in VARIETIES[variety]]
-
-
-def _poly_pairs(p: LaurentPoly) -> list:
-    return [[exp, str(c)] for exp, c in sorted(p.terms.items())]
 
 
 def _render_uv(diag: dict) -> str:
@@ -37,12 +40,15 @@ def _render_uv(diag: dict) -> str:
 
 
 def _compare(name: str, route, reference, details: str = "") -> tuple:
-    """The one comparison of every polynomial check: ``route()`` against a polynomial or a
-    series in T, a tuple of them; a failure names its first differing coefficient or division."""
+    """The one comparison of every polynomial check: ``route()`` against ``reference()``,
+    both built inside the check, each a polynomial or a series in T, a tuple of them. A
+    failure names the first differing coefficient, or the side whose exact division failed."""
+    side = "reference "
     try:
+        reference, side = reference(), ""
         value = route()
     except NotPolynomial as exc:
-        return name, False, f"not a polynomial: {exc}"
+        return name, False, f"{side}not a polynomial: {exc}"
     if value == reference:
         return name, True, details
     at = ""
@@ -57,20 +63,27 @@ def _compare(name: str, route, reference, details: str = "") -> tuple:
                          f"reference {reference.terms.get(e, 0)}")
 
 
+def _route_checks(invariant: str, r: int, k: int) -> tuple:
+    """The reference of an invariant at (r, k), a call that builds it once unless its division
+    fails, and the check of each route against it; the resolution routes need k >= 1."""
+    build, routes = ROUTES[invariant]
+    reference = cache(lambda: build(r, k))
+    return reference, [_compare(f"{name}({r},{k})", lambda: route(r, k), reference)
+                       for name, route in routes.items() if k or "resolution" not in name]
+
+
 def compute_record(r: int, k: int, variety: str) -> dict:
-    """Compute and compare both routes of a variety; the first validates (r, k).
+    """A variety's closed form, which validates (r, k), and the checks of its routes.
     ``compute --format json`` prints the record, JSON-native: coefficients are
     decimal strings and each check is a list."""
-    closed_form, orbit_route = _routes(variety)
-    closed = closed_form(r, k)
-    diag = stringy.hodge_table(closed)
+    closed, checks = _route_checks(variety, r, k)
+    diag = stringy.hodge_table(closed())  # a failed division here ends the command
     return {
         "r": r, "k": k, "variety": variety, "stringyE": [[p, str(h)] for p, h in diag.items()],
         "hodgeDiagonal": {str(p): h for p, h in diag.items()},
         "eulerNumber": str(sum(diag.values())), "nonNegative": stringy.non_negative(diag),
         "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
-        "checks": [list(_compare("closed_equals_orbit_sum", lambda: orbit_route(r, k), closed,
-                                 "exact polynomial comparison of the two routes"))],
+        "checks": [list(check) for check in checks],
     }
 
 
@@ -82,8 +95,7 @@ def _record_text(record: dict) -> str:
         f"euler = {record['eulerNumber']}  nonnegative = {record['nonNegative']}",
         f"discrepancies = {record['discrepancies']}",
     ]
-    for name, ok, _ in record["checks"]:
-        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
+    lines += [f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok, _ in record["checks"]]
     return "\n".join(lines)
 
 
@@ -91,28 +103,20 @@ def _record_text(record: dict) -> str:
 # Each runs up to the rmax it is given; ``cli`` lowers --rmax to a suite's cap.
 
 def suite_identities(rmax: int) -> list:
-    """The identity checks; each (r, k) computes its two closed forms once."""
+    """The routes of every invariant of ``ROUTES``, and the Euler numbers and the sign read
+    off the closed forms; each (r, k) builds each reference once."""
     checks = []
     for r in range(2, rmax + 1):
         closed = {}
         for k in range(1, r):
-            for variety in VARIETIES:
-                closed_form, orbit_route = _routes(variety)
-                closed[variety, k] = closed_form(r, k)
-                checks.append(_compare(f"{variety}_theorem({r},{k})",
-                                       lambda: orbit_route(r, k), closed[variety, k]))
-                checks.append(_compare(f"resolution_{variety}({r},{k})", lambda: (
-                    stringy.stringy_e_from_resolution(r, k, variety)), closed[variety, k]))
-            g = groth.gauss_binomial(k, r)
-            checks.append(_compare(f"subset_sum_is_grassmannian({r},{k})",
-                                   lambda: stringy.grassmannian_subset_sum(r, k), g))
-            checks.append(_compare(f"recursion_is_grassmannian({r},{k})",
-                                   lambda: stringy.grassmannian_recursive(r, k), g))
-            checks.append(_compare(f"rank_identity({r},{k})", lambda: sum(
-                groth.rank_stratum_class(r, k, j) for j in range(k + 1)), q_pow(k * r)))
+            for invariant in ROUTES:
+                closed[invariant, k], routed = _route_checks(invariant, r, k)
+                checks += routed
             for variety, count in (("affine", comb(r, k)), ("projective", k * r * comb(r, k))):
                 try:  # a closed form with no Hodge diagonal fails the checks read off it
-                    diag, why = stringy.hodge_table(closed[variety, k]), ""
+                    diag, why = stringy.hodge_table(closed[variety, k]()), ""
+                except NotPolynomial as exc:
+                    diag, why = None, f"reference not a polynomial: {exc}"
                 except groth.InvalidInput as exc:
                     diag, why = None, str(exc)
                 checks.append((f"euler_{variety}({r},{k})",
@@ -129,29 +133,24 @@ def suite_orbits(rmax: int) -> list:
         return LaurentPoly({e: c for e, c in p.terms.items() if e > bound})
 
     checks = []
-    pairs = [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]
-    for r, k in pairs:
+    for r, k in [(r, k) for r in range(2, rmax + 1) for k in range(1, r)]:
         cap = k * (2 * r - k) // (r - k + 1)  # the least cap whose bound is negative
         bound = stringy.orbit_tail_degree_bound(r, k, cap)
-        for variety in VARIETIES:
-            closed = _routes(variety)[0](r, k)
-            if variety == "projective":
-                # the truncated projective sum leaves the 1/(q - 1) factor out
-                closed = groth.factor_ratio(closed, [1])
+        for variety in ("affine", "projective"):
+            times = [1] * (variety == "projective")  # the projective sum leaves 1/(q - 1) out
             checks.append(_compare(
                 f"orbit_convergence_{variety}({r},{k},cap={cap})",
                 lambda: above(stringy.truncated_orbit_sum(r, k, cap, variety), bound),
-                above(closed, bound), f"stable above exponent {bound}"))
+                lambda: above(groth.factor_ratio(ROUTES[variety][0](r, k), times), bound),
+                f"stable above exponent {bound}"))
     return checks
 
 
 def suite_zeta(rmax: int, order: int) -> list:
-    checks = []
-    for r in range(1, rmax + 1):
-        direct = tuple(stringy.zeta_coefficient_direct(r, n) for n in range(order + 1))
-        checks.append(_compare(f"zeta_consistency(r={r},order={order})",
-                               lambda: stringy.zeta_closed_expansion(r, order), direct))
-    return checks
+    return [_compare(f"zeta_consistency(r={r},order={order})",
+                     lambda: stringy.zeta_closed_expansion(r, order), lambda: tuple(
+                         stringy.zeta_coefficient_direct(r, n) for n in range(order + 1)))
+            for r in range(1, rmax + 1)]
 
 
 # -- rendering: tables and JSON ------------------------------------------------
@@ -162,7 +161,7 @@ def table_rows(rmax: int, varieties):
     for r in range(2, rmax + 1):
         for k in range(1, r):
             for variety in varieties:
-                diag = stringy.hodge_table(_routes(variety)[0](r, k))
+                diag = stringy.hodge_table(ROUTES[variety][0](r, k))
                 yield {"r": r, "k": k, "variety": variety,
                        "dim": k * (2 * r - k) - (variety == "projective"),
                        "degree": next(reversed(diag)), "euler": str(sum(diag.values())),
@@ -208,8 +207,8 @@ def _render_table(rows, fmt: str):
 
 
 def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts, lists, ints, bools and
-    strings that need no escaping; ``indent`` starts each line of the value's own level."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` for ``compute``'s record: dicts, lists,
+    ints, bools and strings that need no escaping; ``indent`` starts each line of its level."""
     if not isinstance(value, (dict, list)):  # a str, an int, or a bool: True is true
         return f'"{value}"' if isinstance(value, str) else str(value).lower()
     inner = indent + "  "
@@ -221,9 +220,12 @@ def _json(value, indent: str = "\n") -> str:
 
 
 def _render_zeta(r: int, order: int, series):
-    """``zeta``'s ``json.dumps(..., indent=2)`` in chunks: head with T^0, each T^n, tail."""
-    head, inner = f'{{\n  "r": {r},\n  "order": {order},\n  "coefficients": {{', "\n    "
+    """``zeta``'s ``json.dumps(..., indent=2)`` in chunks: head with T^0, each T^n, tail. A
+    coefficient's [exponent, "coefficient"] pairs are written with one format string."""
+    head = f'{{\n  "r": {r},\n  "order": {order},\n  "coefficients": {{'
     for n, c in enumerate(series):
-        yield f'{head}{inner}"{n}": {_json(_poly_pairs(c), inner)}'
+        pairs = ",".join(f'\n      [\n        {e},\n        "{a}"\n      ]'
+                         for e, a in sorted(c.terms.items()))
+        yield f'{head}\n    "{n}": ' + (f"[{pairs}\n    ]" if pairs else "[]")
         head = ","
     yield "\n  }\n}\n"

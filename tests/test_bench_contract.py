@@ -44,9 +44,9 @@ OPERATIONS = {f"{name}:{' '.join(op)}": op for name, ops in run.WORKLOADS.items(
 # layout of a benchmarked output shows here
 STDOUT_SHA256 = {
     "compute --r 7 --k 6 --variety affine --format json":
-        "bfd11c09e31477710362398e4bdc660858fe52f659346f5d69f77fb4b7a328cf",
+        "372dc64d3a97f26bf51aa011aa40bb44893fa9e5115e127556c8bdaa73592539",
     "compute --r 7 --k 6 --variety projective --format json":
-        "f11bfbf478f8479a7ccff7ba183f866db66a181fdb9b9b38ecdbf980d2ef3f3c",
+        "246adf3f362904116f05f960a0fe6b7f37f72d680d3ff6132245941b1163538c",
     "zeta --r 7 --order 10 --format json":
         "52b33f6316330b5c8d8c0109a7f82b443c64302deb3d6be794e1474b5d657c28",
     "verify --suite identities --rmax 6":

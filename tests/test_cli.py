@@ -19,6 +19,8 @@ from stringydet.exactalg import ONE, LaurentPoly, q_pow
 
 from test_stringy import wrong_discrepancy
 
+VARIETIES = cli.COMMANDS["compute"]["variety"][0]
+
 
 # ``table --rmax 4 --variety both --format latex``, byte for byte.
 LATEX_RMAX_4_BOTH = r"""\begin{tabular}{lllll}
@@ -167,9 +169,14 @@ COMPUTE_2_1_JSON = """\
 {
   "checks": [
     [
-      "closed_equals_orbit_sum",
+      "affine_theorem(2,1)",
       true,
-      "exact polynomial comparison of the two routes"
+      ""
+    ],
+    [
+      "resolution_affine(2,1)",
+      true,
+      ""
     ]
   ],
   "discrepancies": [
@@ -263,7 +270,7 @@ class TestVerify:
         names = [name for name, _, _ in report.suite_orbits(12)]
         assert names == [f"orbit_convergence_{variety}({r},{k},cap={least_cap(r, k)})"
                          for r in range(2, 13) for k in range(1, r)
-                         for variety in report.VARIETIES]
+                         for variety in VARIETIES]
 
     def test_clamped_rmax_is_noted(self, capsys):
         code, out, err = run(["verify", "--suite", "zeta", "--rmax", "5",
@@ -295,7 +302,7 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
             f"FAIL  orbit_convergence_{variety}(3,2,cap=4)  "
-            "(first difference at q^-1: route 3, reference 0)" for variety in report.VARIETIES]
+            "(first difference at q^-1: route 3, reference 0)" for variety in VARIETIES]
 
     def test_wrong_zeta_series_names_its_first_difference(self, monkeypatch, capsys):
         expansion = stringy.zeta_closed_expansion
@@ -375,6 +382,84 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.splitlines() == ["error: 11 is above the cap 7"]
+
+
+def check_lines(out: str) -> list:
+    """(verdict, name, details) of each line that ``verify`` prints, details "" if none."""
+    return [(verdict, name, details[1:-1]) for verdict, name, details in (
+        (line.split("  ") + [""])[:3] for line in out.splitlines())]
+
+
+class TestRouteTable:
+    """``compute`` and ``verify`` run the routes of ``report.ROUTES``, each against a
+    reference built inside its checks."""
+
+    def test_a_failed_reference_fails_the_checks_that_read_it(self, monkeypatch, capsys):
+        argvs = ["verify --suite identities --rmax 3", "verify --suite orbits --rmax 3"]
+        names = {argv: [name for _, name, _ in check_lines(run(argv.split(), capsys)[1])]
+                 for argv in argvs}
+        binomial = groth.gauss_binomial
+
+        def wrong(d, k):  # divided once more by q^2 - 1, which never divides it
+            return groth.factor_ratio(binomial(d, k), (), [2])
+        monkeypatch.setattr(groth, "gauss_binomial", wrong)
+        monkeypatch.setattr(stringy, "gauss_binomial", wrong)  # the closed forms' name for it
+        why = "reference not a polynomial: not divisible by q^2 - 1"
+        for argv in argvs:
+            code, out, err = run(argv.split(), capsys)
+            assert (code, err) == (EXIT_FAIL, "")
+            lines = check_lines(out)
+            assert [name for _, name, _ in lines] == names[argv]
+            # every check reads a closed form or [G(k, r)] but the rank identity
+            assert [line for line in lines if not line[1].startswith("rank_identity(")] == [
+                ("FAIL", name, why) for name in names[argv]
+                if not name.startswith("rank_identity(")]
+            assert all(verdict == "pass" for verdict, name, _ in lines
+                       if name.startswith("rank_identity("))
+        # compute has no closed form to print: one error line
+        assert run("compute --r 3 --k 2".split(), capsys) == (
+            EXIT_FAIL, "", "error: not a polynomial: not divisible by q^2 - 1\n")
+
+    @pytest.mark.parametrize("variety,at", [("affine", 0), ("projective", 1)])
+    def test_compute_checks_the_discrepancies_it_prints(self, variety, at, monkeypatch,
+                                                        capsys):
+        # the projective sum never reads a_0, so it is given a wrong a_1
+        wrong_discrepancy(monkeypatch, at)
+        argv = f"compute --r 3 --k 2 --variety {variety}".split()
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert out.splitlines()[-3:] == [
+            f"discrepancies = {[[0, 6 + (at == 0)], [1, 2 + (at == 1)]]}",
+            f"check {variety}_theorem(3,2): pass", f"check resolution_{variety}(3,2): FAIL"]
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert [check[:2] for check in json.loads(out)["checks"]] == [
+            [f"{variety}_theorem(3,2)", True], [f"resolution_{variety}(3,2)", False]]
+
+    def test_a_wrong_route_is_named_with_its_first_difference(self, monkeypatch, capsys):
+        names = [name for name, _, _ in report.suite_identities(4)]
+        resolution = stringy.stringy_e_from_resolution
+        monkeypatch.setattr(stringy, "stringy_e_from_resolution", lambda r, k, variety: (
+            resolution(r, k, variety) + q_pow(3)))
+
+        def why(variety, r, k):
+            at = report.ROUTES[variety][0](r, k).terms.get(3, 0)
+            return f"first difference at q^3: route {at + 1}, reference {at}"
+        for variety in VARIETIES:
+            code, out, err = run(f"compute --r 4 --k 2 --variety {variety} --format json"
+                                 .split(), capsys)
+            assert (code, err) == (EXIT_FAIL, "")
+            assert json.loads(out)["checks"] == [[f"{variety}_theorem(4,2)", True, ""], [
+                f"resolution_{variety}(4,2)", False, why(variety, 4, 2)]]
+        code, out, err = run("verify --suite identities --rmax 4".split(), capsys)
+        assert (code, err) == (EXIT_FAIL, "")
+        lines = check_lines(out)
+        assert [name for _, name, _ in lines] == names
+        failed = {f"resolution_{variety}({r},{k})": why(variety, r, k)
+                  for r in range(2, 5) for k in range(1, r) for variety in VARIETIES}
+        failed |= {f"rank_one_resolution({r})": why("affine", r, 1) for r in range(2, 5)}
+        assert {name: details for verdict, name, details in lines if verdict == "FAIL"} == failed
+        assert all(verdict == "pass" for verdict, name, _ in lines if name not in failed)
 
 
 class TestEmptyGrid:
@@ -472,14 +557,14 @@ class TestPrintedEulerNumber:
         printed = printed_euler_numbers(capsys, 13)
         assert len(printed) == 2 * 78
         for (r, k, variety), numbers in printed.items():
-            closed = report._routes(variety)[0](r, k)
+            closed = report.ROUTES[variety][0](r, k)
             euler = str(closed.evaluate(1))
             assert numbers == (euler, euler, EXIT_OK), (r, k, variety)
 
-    @pytest.mark.parametrize("variety", report.VARIETIES)
+    @pytest.mark.parametrize("variety", VARIETIES)
     def test_a_patched_coefficient_moves_it_and_fails_the_check(self, variety, capsys,
                                                                 monkeypatch):
-        name = report.VARIETIES[variety][0]
+        name = f"stringy_e_{variety}"
         closed_form = getattr(stringy, name)
 
         def patched(r, k):  # one more at the middle exponent
@@ -488,7 +573,7 @@ class TestPrintedEulerNumber:
         monkeypatch.setattr(stringy, name, patched)
         for (r, k, printed), numbers in printed_euler_numbers(capsys, 5).items():
             # the patched closed form also fails compute's comparison with the orbit route
-            closed = getattr(stringy, report.VARIETIES[printed][0])(r, k)
+            closed = report.ROUTES[printed][0](r, k)
             euler, code = str(closed.evaluate(1)), EXIT_OK
             if printed == variety:
                 assert euler == str(closed_form(r, k).evaluate(1) + 1)
@@ -499,16 +584,16 @@ class TestPrintedEulerNumber:
         verdicts = {line.split()[1]: line.split()[0] for line in out.splitlines()}
         for r in range(2, 6):
             for k in range(1, r):
-                for checked in report.VARIETIES:
+                for checked in VARIETIES:
                     expected = "FAIL" if checked == variety else "pass"
                     assert verdicts[f"euler_{checked}({r},{k})"] == expected, (checked, r, k)
 
-    @pytest.mark.parametrize("variety", report.VARIETIES)
+    @pytest.mark.parametrize("variety", VARIETIES)
     def test_a_closed_form_with_no_diagonal_fails_its_checks(self, variety, capsys,
                                                              monkeypatch):
         # every check is still listed and run, and those read off the diagonal say why
         names = [name for name, _, _ in report.suite_identities(4)]
-        name = report.VARIETIES[variety][0]
+        name = f"stringy_e_{variety}"
         closed_form = getattr(stringy, name)
 
         def patched(r, k):  # a half at the lowest exponent
@@ -772,7 +857,7 @@ def bad_input_grid():
     malformed command lines."""
     yield from MALFORMED_ARGV
     small = [str(n) for n in range(-1, 4)]
-    for r, k, variety in itertools.product(small, small, report.VARIETIES):
+    for r, k, variety in itertools.product(small, small, VARIETIES):
         yield ["compute", "--r", r, "--k", k, "--variety", variety]
     for suite in ("identities", "oracle", "orbits", "zeta", "all"):
         for rmax, p in itertools.product(small, ["-1", "0", "1", "2", "4", "9"]):
@@ -919,7 +1004,9 @@ def test_tool_help_lists_every_command(flag, capsys):
 
 
 def test_variety_choices_are_the_report_varieties():
-    assert cli.COMMANDS["compute"]["variety"][0] == tuple(report.VARIETIES)
+    # each variety that compute accepts has its closed form and its two routes in the table
+    assert [list(report.ROUTES[variety][1]) for variety in VARIETIES] == [
+        [f"{variety}_theorem", f"resolution_{variety}"] for variety in VARIETIES]
 
 
 # -- getopt, which the flag reader replaced, kept as its reference --

@@ -503,7 +503,8 @@ class TestStratumBuilderMutation:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["checks"] == [
-            ["closed_equals_orbit_sum", False, "not a polynomial: not divisible by q^3 - 1"]]
+            ["affine_theorem(4,2)", False, "not a polynomial: not divisible by q^3 - 1"],
+            ["resolution_affine(4,2)", False, "not a polynomial: not divisible by q^8 - 1"]]
         assert main(["verify", "--suite", "identities", "--rmax", "3"]) == EXIT_FAIL
         out, err = capsys.readouterr()
         assert err == ""
@@ -628,7 +629,7 @@ def unused_public_names(defining: dict, referring: list) -> list:
     ``module.Class.name``, of the ``defining`` sources (module name -> source) that no
     source in ``referring`` reaches: a function or class by a name, an import or an
     attribute, a method by an attribute. A string of dotted identifiers reaches its last
-    part, as a name looked up by name: ``report.VARIETIES`` and ``tracer.METHODS``."""
+    part, as a name looked up by name: ``tracer.METHODS``."""
     names, attrs = set(), set()
     for source in referring:
         for node in ast.walk(ast.parse(source)):

@@ -23,7 +23,8 @@ def reference_compute(r: int, k: int, variety: str) -> str:
 
 def reference_zeta(r: int, order: int) -> str:
     series = stringy.zeta_closed_expansion(r, order)
-    payload = {str(n): report._poly_pairs(c) for n, c in enumerate(series)}
+    payload = {str(n): [[e, str(a)] for e, a in sorted(c.terms.items())]
+               for n, c in enumerate(series)}
     return json.dumps({"r": r, "order": order, "coefficients": payload}, indent=2) + "\n"
 
 

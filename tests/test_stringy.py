@@ -188,6 +188,13 @@ class TestHodgeAndEuler:
         assert not non_negative(diag)
         assert non_negative({}) and non_negative({0: 0})
 
+    def test_a_diagonal_that_holds_minus_one_is_negative(self):
+        # kills the ">= -1" mutant of non_negative's bound; ">= 1" differs from ">= 0" only on
+        # a zero entry, which no Hodge diagonal holds (hodge_table keeps the nonzero terms), so
+        # in the program it is an equivalent mutant
+        assert not non_negative(hodge_table(LaurentPoly({0: 1, 1: -1, 2: 1})))
+        assert not non_negative({3: -1})
+
     def test_nonnegativity_grid(self):
         for r in range(2, 11):
             for k in range(1, r):

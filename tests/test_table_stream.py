@@ -31,7 +31,7 @@ def reference_table_rows(rmax: int, varieties) -> list:
     for r in range(2, rmax + 1):
         for k in range(1, r):
             for variety in varieties:
-                poly = report._routes(variety)[0](r, k)
+                poly = getattr(stringy, f"stringy_e_{variety}")(r, k)
                 dim = k * (2 * r - k) - (variety == "projective")
                 rows.append({
                     "r": r,
