@@ -6,7 +6,8 @@ stratification of matrix space, whose rank-d d x k stratum is the d-tuples of
 independent vectors in k-space.
 
 The errors that end a command live here too, where every layer can raise them
-and ``cli`` can catch them without loading the layer that raises.
+and ``cli`` can catch them without loading the layer that raises, and so does
+``compare``, the one comparison that decides every check of every layer.
 """
 import itertools
 from functools import lru_cache
@@ -26,6 +27,33 @@ class UnsupportedPrime(InvalidInput):
 
 class BudgetExceeded(ValueError):
     """Requested enumeration would exceed the candidate budget."""
+
+
+def compare(name: str, route, reference, details: str = "") -> tuple:
+    """The (name, ok, details) verdict of a check: ``route()`` against ``reference()``, both
+    built inside the check, each a number, a polynomial or a series in T, a tuple of them. A
+    failure names both numbers, or the first differing coefficient, or the side whose build
+    failed: an exact division that is not one, or a Hodge diagonal that is not a polynomial."""
+    side = "reference "
+    try:
+        reference, side = reference(), ""
+        value = route()
+    except (NotPolynomial, InvalidInput) as exc:
+        return name, False, f"{side}not a polynomial: {exc}"
+    if value == reference:
+        return name, True, details
+    at = ""
+    if isinstance(reference, tuple):
+        if len(value) != len(reference):  # a shared prefix may agree
+            n = min(len(value), len(reference))
+            return name, False, f"route {'has an extra' if len(value) > n else 'is missing'} T^{n}"
+        n = [a == b for a, b in zip(value, reference)].index(False)
+        at, value, reference = f"T^{n} ", value[n], reference[n]
+    if not isinstance(value, LaurentPoly):
+        return name, False, f"route {value}, reference {reference}"
+    e = (value - reference).order()
+    return name, False, (f"first difference at {at}q^{e}: route {value.terms.get(e, 0)}, "
+                         f"reference {reference.terms.get(e, 0)}")
 
 
 def partition_tails(k: int, cap: int):

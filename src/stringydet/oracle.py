@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .groth import (BudgetExceeded, InvalidInput, NotPolynomial, UnsupportedPrime, class_gl,
+from .groth import (BudgetExceeded, InvalidInput, UnsupportedPrime, class_gl, compare,
                     gauss_binomial, rank_stratum_class)
 
 DEFAULT_BUDGET = 2 * 10 ** 8
@@ -33,13 +33,6 @@ class InvariantReport(namedtuple("InvariantReport", "checks")):
     """The (name, ok, details) verdicts of a verification run, read-only."""
 
     __slots__ = ()
-
-
-class _Unbuilt(str):
-    """``not a polynomial: ...``, the value of a class whose exact division failed: it
-    equals no count, and a sum that holds it is it."""
-
-    __add__ = __radd__ = lambda self, other: self
 
 
 def check_prime(p: int) -> None:
@@ -158,50 +151,48 @@ def verify_classes(p: int, r_max: int, budget: int = DEFAULT_BUDGET) -> Invarian
     counts, Gaussian binomials against subspace counts (ordered bases over base
     changes, both read from the census), independent d-tuples in k-space (the
     rank-d d x k stratum) and every rank-stratum class against the census,
-    cumulative rank-bounded counts, and the total-space rank identity. Every
-    comparison is recorded, disagreements included, a census that leaves a
-    fraction or reads 0/0 and a class whose exact division fails among them; the
+    cumulative rank-bounded counts, and the total-space rank identity. Each check
+    is one ``compare`` of the class value at q = p, the route, with the count, the
+    reference, which a pass prints. Every comparison is recorded, disagreements
+    included, a census that leaves a fraction or reads 0/0 and a class whose exact
+    division fails among them: it fails every check whose value holds it. The
     budget is checked against all censuses before any is enumerated. Each census
-    is read once and each stratum class evaluated once.
+    is read once and each class built once, inside the first check that reads it.
     """
     check_budget(census_candidates(p, r_max, budget), budget)
     sizes = range(1, r_max + 1)
     counts = {(r, s): rank_census(p, r, s, budget).counts for r in sizes for s in sizes if r <= s}
     checks = []
 
-    def value(build, *args):
-        try:
-            return build(*args).evaluate(p)
-        except NotPolynomial as exc:
-            return _Unbuilt(f"not a polynomial: {exc}")
+    @lru_cache(maxsize=None)
+    def at_p(build, *args) -> int:  # a class at q = p, built by the first check that reads it
+        return build(*args).evaluate(p)
 
-    def check(name: str, expected, actual) -> None:
-        ok = expected == actual
-        unbuilt = [v for v in (expected, actual) if isinstance(v, _Unbuilt)]
-        checks.append((f"{name} at q={p}", ok, f"{expected}" if ok else unbuilt[0] if unbuilt
-                       else f"class value {expected} != count {actual}"))
+    def bounded(r: int, s: int, k: int) -> int:  # the r x s matrices of rank <= k
+        return sum(at_p(rank_stratum_class, r, s, j) for j in range(k + 1))
 
-    strata = {(r, s): [value(rank_stratum_class, r, s, j) for j in range(min(r, s) + 1)]
-              for r in sizes for s in sizes}
+    def check(name: str, route, count) -> None:
+        checks.append(compare(f"{name} at q={p}", route, lambda: count, f"{count}"))
+
     for d in sizes:
-        check(f"gl({d})", value(class_gl, d), counts[d, d][d])
+        check(f"gl({d})", lambda: at_p(class_gl, d), counts[d, d][d])
     for k in sizes:
         for d in range(0, k + 1):
             # ordered bases over base changes in lowest terms; a wrong census may
             # leave a fraction, written n/m, or read 0/0, which no class value equals
             bases, changes = (counts[d, k][d], counts[d, d][d]) if d else (1, 1)
             g = gcd(bases, changes) or 1
-            check(f"grassmannian({d},{k})", value(gauss_binomial, d, k),
+            check(f"grassmannian({d},{k})", lambda: at_p(gauss_binomial, d, k),
                   bases // g if g == changes else f"{bases // g}/{changes // g}")
-            check(f"independent_tuples({d},{k})", strata[d, k][d] if d else 1, bases)
+            check(f"independent_tuples({d},{k})",
+                  lambda: at_p(rank_stratum_class, d, k, d) if d else 1, bases)
     for (r, s), census in counts.items():
-        for j, stratum in enumerate(strata[r, s]):
-            check(f"rank_stratum({r},{s},{j})", stratum, census[j])
-        bounded = zip(itertools.accumulate(strata[r, s]), itertools.accumulate(census.values()))
-        for k, (cumulative, count) in enumerate(bounded):
-            check(f"rank_bounded({r},{s},<= {k})", cumulative, count)
+        for j, count in census.items():
+            check(f"rank_stratum({r},{s},{j})", lambda: at_p(rank_stratum_class, r, s, j), count)
+        for k, count in enumerate(itertools.accumulate(census.values())):
+            check(f"rank_bounded({r},{s},<= {k})", lambda: bounded(r, s, k), count)
     # r x k, not k x r: the identity sums the strata of the shape it names
     for r in sizes:
         for k in range(1, r + 1):
-            check(f"rank_identity({r},{k})", p ** (k * r), sum(strata[r, k]))
+            check(f"rank_identity({r},{k})", lambda: bounded(r, k, k), p ** (k * r))
     return InvariantReport(checks)

@@ -1,11 +1,12 @@
 """The route commands' records, suites of checks and tables, loaded by ``cli`` only
-for the commands that run the routes. ``groth`` and ``stringy`` are called through
-their modules, so a wrapped or patched function is the one that runs."""
+for the commands that run the routes. Every check is one ``groth.compare``, and
+``groth`` and ``stringy`` are called through their modules, so a wrapped or patched
+function is the one that runs."""
 from functools import cache
 from math import comb
 
 from . import groth, stringy
-from .exactalg import LaurentPoly, NotPolynomial, q_pow
+from .exactalg import LaurentPoly, ZERO, q_pow
 
 # Each invariant checked per (r, k): its reference and the routes checked against it, by
 # check name, each a call (r, k) -> polynomial that looks its function up at run time.
@@ -39,37 +40,13 @@ def _render_uv(diag: dict) -> str:
     return " + ".join(parts) or "0"
 
 
-def _compare(name: str, route, reference, details: str = "") -> tuple:
-    """The one comparison of every polynomial check: ``route()`` against ``reference()``,
-    both built inside the check, each a polynomial or a series in T, a tuple of them. A
-    failure names the first differing coefficient, or the side whose exact division failed."""
-    side = "reference "
-    try:
-        reference, side = reference(), ""
-        value = route()
-    except NotPolynomial as exc:
-        return name, False, f"{side}not a polynomial: {exc}"
-    if value == reference:
-        return name, True, details
-    at = ""
-    if isinstance(reference, tuple):
-        if len(value) != len(reference):  # a shared prefix may agree
-            n = min(len(value), len(reference))
-            return name, False, f"route {'has an extra' if len(value) > n else 'is missing'} T^{n}"
-        n = [a == b for a, b in zip(value, reference)].index(False)
-        at, value, reference = f"T^{n} ", value[n], reference[n]
-    e = (value - reference).order()
-    return name, False, (f"first difference at {at}q^{e}: route {value.terms.get(e, 0)}, "
-                         f"reference {reference.terms.get(e, 0)}")
-
-
 def _route_checks(invariant: str, r: int, k: int) -> tuple:
-    """The reference of an invariant at (r, k), a call that builds it once unless its division
-    fails, and the check of each route against it; the resolution routes need k >= 1."""
+    """The reference of an invariant at (r, k), a call that builds it once unless its build
+    fails, and the check of each route against it."""
     build, routes = ROUTES[invariant]
     reference = cache(lambda: build(r, k))
-    return reference, [_compare(f"{name}({r},{k})", lambda: route(r, k), reference)
-                       for name, route in routes.items() if k or "resolution" not in name]
+    return reference, [groth.compare(f"{name}({r},{k})", lambda: route(r, k), reference)
+                       for name, route in routes.items()]
 
 
 def compute_record(r: int, k: int, variety: str) -> dict:
@@ -82,7 +59,7 @@ def compute_record(r: int, k: int, variety: str) -> dict:
         "r": r, "k": k, "variety": variety, "stringyE": [[p, str(h)] for p, h in diag.items()],
         "hodgeDiagonal": {str(p): h for p, h in diag.items()},
         "eulerNumber": str(sum(diag.values())), "nonNegative": stringy.non_negative(diag),
-        "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)] if k else [],
+        "discrepancies": [[i, a] for i, a in stringy.log_discrepancies(r, k)],
         "checks": [list(check) for check in checks],
     }
 
@@ -104,7 +81,7 @@ def _record_text(record: dict) -> str:
 
 def suite_identities(rmax: int) -> list:
     """The routes of every invariant of ``ROUTES``, and the Euler numbers and the sign read
-    off the closed forms; each (r, k) builds each reference once."""
+    off the closed forms' Hodge diagonals; each (r, k) builds each reference once."""
     checks = []
     for r in range(2, rmax + 1):
         closed = {}
@@ -113,17 +90,12 @@ def suite_identities(rmax: int) -> list:
                 closed[invariant, k], routed = _route_checks(invariant, r, k)
                 checks += routed
             for variety, count in (("affine", comb(r, k)), ("projective", k * r * comb(r, k))):
-                try:  # a closed form with no Hodge diagonal fails the checks read off it
-                    diag, why = stringy.hodge_table(closed[variety, k]()), ""
-                except NotPolynomial as exc:
-                    diag, why = None, f"reference not a polynomial: {exc}"
-                except groth.InvalidInput as exc:
-                    diag, why = None, str(exc)
-                checks.append((f"euler_{variety}({r},{k})",
-                               diag is not None and sum(diag.values()) == count, why))
-            checks.append((f"nonnegativity({r},{k})",  # of the projective diagonal
-                           diag is not None and stringy.non_negative(diag), why))
-        checks.append(_compare(f"rank_one_resolution({r})", lambda: (
+                checks.append(groth.compare(f"euler_{variety}({r},{k})", lambda: count, lambda: (
+                    sum(stringy.hodge_table(closed[variety, k]()).values()))))
+            checks.append(groth.compare(  # the negative part of the projective diagonal
+                f"nonnegativity({r},{k})", lambda: ZERO, lambda: LaurentPoly({e: h for e, h in (
+                    stringy.hodge_table(closed["projective", k]()).items()) if h < 0})))
+        checks.append(groth.compare(f"rank_one_resolution({r})", lambda: (
             stringy.stringy_e_from_resolution(r, 1, "affine")), closed["affine", 1]))
     return checks
 
@@ -138,7 +110,7 @@ def suite_orbits(rmax: int) -> list:
         bound = stringy.orbit_tail_degree_bound(r, k, cap)
         for variety in ("affine", "projective"):
             times = [1] * (variety == "projective")  # the projective sum leaves 1/(q - 1) out
-            checks.append(_compare(
+            checks.append(groth.compare(
                 f"orbit_convergence_{variety}({r},{k},cap={cap})",
                 lambda: above(stringy.truncated_orbit_sum(r, k, cap, variety), bound),
                 lambda: above(groth.factor_ratio(ROUTES[variety][0](r, k), times), bound),
@@ -147,9 +119,9 @@ def suite_orbits(rmax: int) -> list:
 
 
 def suite_zeta(rmax: int, order: int) -> list:
-    return [_compare(f"zeta_consistency(r={r},order={order})",
-                     lambda: stringy.zeta_closed_expansion(r, order), lambda: tuple(
-                         stringy.zeta_coefficient_direct(r, n) for n in range(order + 1)))
+    return [groth.compare(f"zeta_consistency(r={r},order={order})",
+                          lambda: stringy.zeta_closed_expansion(r, order), lambda: tuple(
+                              stringy.zeta_coefficient_direct(r, n) for n in range(order + 1)))
             for r in range(1, rmax + 1)]
 
 

@@ -37,8 +37,9 @@ def _check_rk(r: int, k: int, k_min: int = 0) -> None:
 # -- discrepancies ----------------------------------------------------------
 
 def log_discrepancies(r: int, k: int):
-    """Log discrepancies (i, (k-i)(r-i)) of the k-step blowup resolution."""
-    _check_rk(r, k, k_min=1)
+    """Log discrepancies (i, (k-i)(r-i)) of the k-step blowup resolution; none for k = 0,
+    the origin, which needs no blowup."""
+    _check_rk(r, k)
     return [(i, (k - i) * (r - i)) for i in range(k)]
 
 
@@ -158,12 +159,14 @@ def stringy_e_from_resolution(r: int, k: int, variety: str) -> LaurentPoly:
     (q^{a_i} - 1) that is a path sum to node k: a path starts at b with the rank-b
     stratum, steps i -> b with [GL_{b-i}][G(b-i, r-i)]^2 and carries the factor of each
     node it skips. The projective variety drops the strata over the origin, so node 0
-    and with it a_0, and divides by q - 1 too.
+    and with it a_0, and divides by q - 1 too; it needs k >= 1. For k = 0 the affine sum
+    is the origin's one stratum, 1.
     """
     if variety not in ("affine", "projective"):
         raise InvalidInput(f"unknown variety {variety!r}")
+    first = int(variety == "projective")  # the first node: 1 where the origin is dropped
+    _check_rk(r, k, k_min=first)
     a = [a_i for _, a_i in log_discrepancies(r, k)]
-    first = variety == "projective"  # the first node: 1 where the origin is dropped
     paths = {}
     for b in range(first, k + 1):
         paths[b] = sum((rank_stratum_class(r - i, r - i, b - i, paths[i], a[i + 1:b])

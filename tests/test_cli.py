@@ -461,6 +461,83 @@ class TestRouteTable:
         assert {name: details for verdict, name, details in lines if verdict == "FAIL"} == failed
         assert all(verdict == "pass" for verdict, name, _ in lines if name not in failed)
 
+    def test_compute_checks_the_resolution_route_at_k_0(self, capsys):
+        # the origin needs no blowup: no discrepancy, and the resolution route is 1
+        code, out, err = run("compute --r 3 --k 0".split(), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-3:] == [
+            "discrepancies = []", "check affine_theorem(3,0): pass",
+            "check resolution_affine(3,0): pass"]
+        code, out, err = run("compute --r 3 --k 0 --format json".split(), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["checks"] == [
+            ["affine_theorem(3,0)", True, ""], ["resolution_affine(3,0)", True, ""]]
+
+    def test_no_route_is_skipped_by_its_name(self, monkeypatch, capsys):
+        ran = []
+
+        def small_resolution(r, k):
+            ran.append((r, k))
+            return stringy.stringy_e_affine(r, k)
+        monkeypatch.setitem(report.ROUTES["affine"][1], "small_resolution_affine",
+                            small_resolution)
+        code, out, err = run("compute --r 3 --k 0".split(), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert ran == [(3, 0)]
+        assert out.splitlines()[-1] == "check small_resolution_affine(3,0): pass"
+
+
+class TestOneComparison:
+    """``groth.compare`` decides every check that ``compute``, ``verify`` and ``oracle``
+    print, and a failure names both sides."""
+
+    @pytest.mark.parametrize("argv", [
+        "verify --suite all --rmax 4 --p 2", "oracle --p 3 --rmax 2",
+        "compute --r 4 --k 2 --variety projective"])
+    def test_every_check_line_is_one_compare_call(self, argv, monkeypatch, capsys):
+        calls = []
+        compare = groth.compare
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return compare(*args, **kwargs)
+        bound = [(module, name) for module in (cli, exactalg, groth, oracle, report, stringy)
+                 for name, value in vars(module).items() if value is compare]
+        assert (groth, "compare") in bound and (oracle, "compare") in bound
+        for module, name in bound:
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(argv.split(), capsys)
+        assert code == EXIT_OK
+        lines = [line for line in out.splitlines() if line.startswith(("pass", "check"))]
+        assert lines and len(calls) == len(lines)
+        assert all(f" {name}" in line for name, line in zip(calls, lines))
+
+    @pytest.mark.parametrize("variety", VARIETIES)
+    def test_a_wrong_euler_number_names_both(self, variety, monkeypatch, capsys):
+        closed_form = getattr(stringy, f"stringy_e_{variety}")
+        monkeypatch.setattr(stringy, f"stringy_e_{variety}", lambda r, k: (
+            closed_form(r, k) + q_pow(closed_form(r, k).degree())))
+        code, out, _ = run("verify --suite identities --rmax 3".split(), capsys)
+        assert code == EXIT_FAIL
+        details = {name: (verdict, why) for verdict, name, why in check_lines(out)}
+        for r in (2, 3):
+            for k in range(1, r):
+                euler = closed_form(r, k).evaluate(1)
+                assert details[f"euler_{variety}({r},{k})"] == (
+                    "FAIL", f"route {euler}, reference {euler + 1}")
+
+    def test_a_negative_hodge_number_is_named(self, monkeypatch, capsys):
+        closed_form = stringy.stringy_e_projective
+        monkeypatch.setattr(stringy, "stringy_e_projective", lambda r, k: (
+            closed_form(r, k) - q_pow(closed_form(r, k).degree() + 1)))
+        code, out, _ = run("verify --suite identities --rmax 3".split(), capsys)
+        assert code == EXIT_FAIL
+        details = {name: (verdict, why) for verdict, name, why in check_lines(out)}
+        for r, k in [(2, 1), (3, 1), (3, 2)]:
+            e = closed_form(r, k).degree() + 1
+            assert details[f"nonnegativity({r},{k})"] == (
+                "FAIL", f"first difference at q^{e}: route 0, reference -1")
+
 
 class TestEmptyGrid:
     @pytest.mark.parametrize("argv,message", [
@@ -608,7 +685,8 @@ class TestPrintedEulerNumber:
             verdict, check = line.split()[:2]
             kind = check.split("(")[0]
             if kind in failing:
-                assert verdict == "FAIL" and "(non-integer coefficient " in line, line
+                why = "(reference not a polynomial: non-integer coefficient "
+                assert verdict == "FAIL" and why in line, line
             elif kind in ("euler_affine", "euler_projective", "nonnegativity"):
                 assert verdict == "pass", line
 
@@ -694,8 +772,8 @@ class TestZetaAndOracle:
         assert code == EXIT_FAIL
         lines = out.splitlines()[1:]
         failed = [line for line in lines if line.startswith("FAIL")]
-        assert failed == ["FAIL  gl(1) at q=2  (class value 2 != count 1)",
-                          "FAIL  gl(2) at q=2  (class value 7 != count 6)"]
+        assert failed == ["FAIL  gl(1) at q=2  (route 2, reference 1)",
+                          "FAIL  gl(2) at q=2  (route 7, reference 6)"]
         assert len(lines) > len(failed)
         assert all(line.startswith("pass") for line in lines if line not in failed)
 
@@ -825,11 +903,11 @@ class TestCommandErrors:
         lines = [line for line in out.splitlines() if not line.startswith("estimated")]
         failed = [line for line in lines if not line.startswith("pass")]
         assert failed == [
-            "FAIL  gl(1) at q=2  (class value 1 != count 4)",
-            "FAIL  independent_tuples(1,1) at q=2  (class value 1 != count 4)",
-            "FAIL  grassmannian(1,2) at q=2  (class value 3 != count 3/4)",
-            "FAIL  rank_stratum(1,1,1) at q=2  (class value 1 != count 4)",
-            "FAIL  rank_bounded(1,1,<= 1) at q=2  (class value 2 != count 5)",
+            "FAIL  gl(1) at q=2  (route 1, reference 4)",
+            "FAIL  independent_tuples(1,1) at q=2  (route 1, reference 4)",
+            "FAIL  grassmannian(1,2) at q=2  (route 3, reference 3/4)",
+            "FAIL  rank_stratum(1,1,1) at q=2  (route 1, reference 4)",
+            "FAIL  rank_bounded(1,1,<= 1) at q=2  (route 2, reference 5)",
         ]
         # every other check is listed as it is on a correct census, in its place
         failed_names = [line.split("  ")[1] for line in failed]

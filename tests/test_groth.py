@@ -563,6 +563,34 @@ class TestRankIdentity:
         assert rank_strata_sum(5, 3) == q_pow(15)
 
 
+class TestCompare:
+    """The one comparison: a pass keeps its details, a failure names both sides or the side
+    whose build failed."""
+
+    def test_numbers_name_both_values(self):
+        assert groth.compare("c", lambda: 4, lambda: 4, "4") == ("c", True, "4")
+        assert groth.compare("c", lambda: 17, lambda: 16, "16") == (
+            "c", False, "route 17, reference 16")
+        assert groth.compare("c", lambda: 3, lambda: "3/4") == (
+            "c", False, "route 3, reference 3/4")
+
+    def test_polynomials_name_the_first_difference(self):
+        assert groth.compare("c", lambda: Q + q_pow(3), lambda: Q - q_pow(2)) == (
+            "c", False, "first difference at q^2: route 0, reference -1")
+
+    @pytest.mark.parametrize("error,message", [
+        (NotPolynomial, "not divisible by q^2 - 1"),
+        (InvalidInput, "non-integer coefficient 1/2 at q^0")], ids=["division", "diagonal"])
+    def test_a_failed_build_fails_the_check(self, error, message):
+        def build():
+            raise error(message)
+        assert groth.compare("c", build, lambda: ONE) == (
+            "c", False, f"not a polynomial: {message}")
+        # the reference is built first: its failure is the check's, the route never runs
+        assert groth.compare("c", pytest.fail, build) == (
+            "c", False, f"reference not a polynomial: {message}")
+
+
 def test_partition_tail_enumeration():
     tails = list(partition_tails(2, 2))
     assert sorted(tails) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]

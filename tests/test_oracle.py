@@ -406,7 +406,7 @@ class TestSubspaces:
         report = verify_classes(2, 4)
         assert failures(report)
         details = {name: (ok, text) for name, ok, text in report.checks}
-        assert details["grassmannian(2,4) at q=2"] == (False, "class value 35 != count 105/2")
+        assert details["grassmannian(2,4) at q=2"] == (False, "route 35, reference 105/2")
         assert details["grassmannian(1,4) at q=2"] == (True, "15")
 
     @pytest.fixture
@@ -428,8 +428,8 @@ class TestSubspaces:
         report = verify_classes(2, 2)
         assert [name for name, _, _ in report.checks] == zero_census
         details = {name: (ok, text) for name, ok, text in report.checks}
-        assert details["grassmannian(1,1) at q=2"] == (False, "class value 1 != count 0/0")
-        assert details["grassmannian(1,2) at q=2"] == (False, "class value 3 != count 1/0")
+        assert details["grassmannian(1,1) at q=2"] == (False, "route 1, reference 0/0")
+        assert details["grassmannian(1,2) at q=2"] == (False, "route 3, reference 1/0")
 
     def test_zero_census_makes_the_oracle_command_exit_1(self, zero_census, capsys):
         from stringydet.cli import EXIT_FAIL, main
@@ -439,7 +439,7 @@ class TestSubspaces:
         assert err == ""
         lines = out.splitlines()
         assert [line.split("  ")[1] for line in lines[1:]] == zero_census
-        assert "FAIL  grassmannian(1,1) at q=2  (class value 1 != count 0/0)" in lines
+        assert "FAIL  grassmannian(1,1) at q=2  (route 1, reference 0/0)" in lines
 
 
 class TestVerifyClasses:
@@ -458,7 +458,7 @@ class TestVerifyClasses:
         assert [name for name, _, _ in report.checks] == names
         failed = [(name, details) for name, ok, details in report.checks if not ok]
         assert [name for name, _ in failed] == [f"gl({d}) at q=2" for d in (1, 2, 3)]
-        assert failed[0][1] == "class value 2 != count 1"
+        assert failed[0][1] == "route 2, reference 1"
 
     def test_each_stratum_class_is_built_once(self, monkeypatch):
         built = Counter()
@@ -484,10 +484,10 @@ class TestVerifyClasses:
         report = verify_classes(2, 3)
         assert [name for name, _, _ in report.checks] == names
         failed = [(name, details) for name, ok, details in report.checks if not ok]
-        assert failed == [("rank_stratum(2,2,1) at q=2", "class value 10 != count 9"),
-                          ("rank_bounded(2,2,<= 1) at q=2", "class value 11 != count 10"),
-                          ("rank_bounded(2,2,<= 2) at q=2", "class value 17 != count 16"),
-                          ("rank_identity(2,2) at q=2", "class value 16 != count 17")]
+        assert failed == [("rank_stratum(2,2,1) at q=2", "route 10, reference 9"),
+                          ("rank_bounded(2,2,<= 1) at q=2", "route 11, reference 10"),
+                          ("rank_bounded(2,2,<= 2) at q=2", "route 17, reference 16"),
+                          ("rank_identity(2,2) at q=2", "route 17, reference 16")]
 
     def test_budget_covers_every_census(self):
         # each census fits the budget alone, all of them together do not

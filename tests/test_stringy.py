@@ -347,6 +347,16 @@ class TestResolutionRoute:
         with pytest.raises(InvalidInput):
             stringy_e_from_resolution(3, 1, "conic")
 
+    def test_the_origin_needs_no_blowup(self):
+        # k = 0: the affine variety is the origin, one stratum with no discrepancy; the
+        # projective one is empty and refused
+        for r in range(1, 6):
+            assert log_discrepancies(r, 0) == []
+            assert stringy_e_from_resolution(r, 0, "affine") == ONE == stringy_e_affine(r, 0)
+            with pytest.raises(InvalidInput) as raised:
+                stringy_e_from_resolution(r, 0, "projective")
+            assert str(raised.value) == f"need 1 <= k <= r-1, got r={r}, k=0"
+
 
 def block_structure_measure(r, k, tail):
     """The orbit measure by the block structure of the tail, the oracle of orbit_measure.
